@@ -19,7 +19,6 @@ invocation — the same machinery as ``switchflow-experiments
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -68,21 +67,15 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.experiments import runner
+    from repro.experiments.common import scoped_env
 
     argv = list(args.experiments)
     if args.quick:
         argv.append("--quick")
     if args.jobs != 1:
         argv.extend(["--jobs", str(args.jobs)])
-    previous = os.environ.get(SANITIZE_ENV)
-    os.environ[SANITIZE_ENV] = "1"
-    try:
+    with scoped_env({SANITIZE_ENV: "1"}):
         return runner.main(argv)
-    finally:
-        if previous is None:
-            os.environ.pop(SANITIZE_ENV, None)
-        else:
-            os.environ[SANITIZE_ENV] = previous
 
 
 def _cmd_concurrency(args: argparse.Namespace) -> int:

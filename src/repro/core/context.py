@@ -33,14 +33,8 @@ class RunContext:
     def __init__(self, machine_factory: Callable[[Engine, Tracer], Machine],
                  seed: int = 0,
                  temporary_workers: int = DEFAULT_TEMPORARY_WORKERS,
-                 trace: bool = True,
-                 fast_path: bool = True,
-                 core: Optional[str] = None) -> None:
-        # ``core`` picks the event-loop implementation explicitly
-        # ("array", "twolane" or "legacy"); otherwise ``fast_path=False``
-        # selects the legacy agenda loop, kept as a semantic-equivalence
-        # baseline for the array/two-lane schedulers.
-        self.engine = Engine(fast_path=fast_path, core=core)
+                 trace: bool = True) -> None:
+        self.engine = Engine()
         self.tracer = Tracer(self.engine, enabled=trace)
         self.metrics = MetricsRegistry(clock=lambda: self.engine.now)
         self.runlog = RunLog(clock=lambda: self.engine.now)
@@ -200,8 +194,6 @@ class RunContext:
 def make_context(machine_builder, *args, seed: int = 0,
                  trace: bool = True,
                  temporary_workers: int = DEFAULT_TEMPORARY_WORKERS,
-                 fast_path: bool = True,
-                 core: Optional[str] = None,
                  fault_plan=None,
                  timeseries_interval_ms: Optional[float] = None,
                  concurrency: Optional[str] = None,
@@ -211,8 +203,7 @@ def make_context(machine_builder, *args, seed: int = 0,
     def factory(engine: Engine, tracer: Tracer) -> Machine:
         return machine_builder(engine, *args, tracer=tracer, **kwargs)
     ctx = RunContext(factory, seed=seed, trace=trace,
-                     temporary_workers=temporary_workers,
-                     fast_path=fast_path, core=core)
+                     temporary_workers=temporary_workers)
     if fault_plan is not None:
         ctx.attach_faults(fault_plan)
     if timeseries_interval_ms is not None:

@@ -8,8 +8,11 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.baselines import MultiThreadedTF
 from repro.core import JobHandle, RunContext, make_context
@@ -82,6 +85,28 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
         except ValueError:
             jobs = 1
     return max(1, int(jobs))
+
+
+@contextmanager
+def scoped_env(values: Mapping[str, Optional[str]]) -> Iterator[None]:
+    """Set environment variables for the duration of a ``with`` block.
+
+    Each variable with a non-``None`` value is set on entry and put
+    back on exit — to its previous value, or unset if it had none.
+    ``None`` leaves that variable untouched.
+    """
+    saved = {name: os.environ.get(name)
+             for name, value in values.items() if value is not None}
+    for name in saved:
+        os.environ[name] = values[name]
+    try:
+        yield
+    finally:
+        for name, previous in saved.items():
+            if previous is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = previous
 
 
 # Set inside workers: ProcessPoolExecutor children are not daemonic

@@ -20,7 +20,6 @@ experiments that fan out internally — e.g. fig3's per-config solo runs
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Callable, Dict, Tuple
@@ -43,7 +42,7 @@ from repro.experiments import (
 )
 from repro.analysis.concurrency import CONCURRENCY_ENV
 from repro.analysis.integration import SANITIZE_ENV, SanitizationError
-from repro.experiments.common import JOBS_ENV_VAR, fanout_map
+from repro.experiments.common import JOBS_ENV_VAR, fanout_map, scoped_env
 from repro.faults import FAULTS_ENV, FaultPlan, FaultPlanError
 from repro.obs.procpool import ProcPoolStats
 from repro.obs.timeseries import TIMESERIES_ENV
@@ -255,68 +254,27 @@ def main(argv=None) -> int:
     mode = "quick" if args.quick else "full"
     specs = [(name, mode, args.timeline) for name in valid]
 
-    previous_env = os.environ.get(JOBS_ENV_VAR)
-    previous_sanitize = os.environ.get(SANITIZE_ENV)
-    previous_faults = os.environ.get(FAULTS_ENV)
-    previous_timeseries = os.environ.get(TIMESERIES_ENV)
-    previous_concurrency = os.environ.get(CONCURRENCY_ENV)
-    previous_serving = os.environ.get(SERVING_ENV)
-    if jobs > 1 and len(valid) == 1:
+    env = {
         # A single experiment cannot fan across experiments — hand the
         # workers to its internal config fan-out instead.
-        os.environ[JOBS_ENV_VAR] = str(jobs)
-    if args.sanitize:
-        # Environment (not a parameter) so forked pool workers inherit.
-        os.environ[SANITIZE_ENV] = "1"
-    if args.faults is not None:
-        # Same pattern: run_colocation attaches the plan in whichever
-        # process the experiment executes in.
-        os.environ[FAULTS_ENV] = args.faults
-    if args.timeseries is not None:
-        os.environ[TIMESERIES_ENV] = args.timeseries
-    if args.concurrency is not None:
-        os.environ[CONCURRENCY_ENV] = args.concurrency
-    if args.serving is not None:
-        # run_serving applies the overrides in whichever process the
-        # experiment executes in.
-        os.environ[SERVING_ENV] = args.serving
+        JOBS_ENV_VAR: str(jobs) if jobs > 1 and len(valid) == 1 else None,
+        # Environment (not parameters) so forked pool workers inherit
+        # them: run_colocation/run_serving attach each feature in
+        # whichever process the experiment executes in.
+        SANITIZE_ENV: "1" if args.sanitize else None,
+        FAULTS_ENV: args.faults,
+        TIMESERIES_ENV: args.timeseries,
+        CONCURRENCY_ENV: args.concurrency,
+        SERVING_ENV: args.serving,
+    }
     started = time.perf_counter()  # noqa: repro-analysis (wall-time stats)
     try:
-        outputs = fanout_map(_render_experiment, specs,
-                             jobs=jobs if len(valid) > 1 else 1)
+        with scoped_env(env):
+            outputs = fanout_map(_render_experiment, specs,
+                                 jobs=jobs if len(valid) > 1 else 1)
     except SanitizationError as exc:
         print(f"sanitizer: invariant violation\n{exc}", file=sys.stderr)
         return 1
-    finally:
-        if previous_env is None:
-            os.environ.pop(JOBS_ENV_VAR, None)
-        else:
-            os.environ[JOBS_ENV_VAR] = previous_env
-        if args.sanitize:
-            if previous_sanitize is None:
-                os.environ.pop(SANITIZE_ENV, None)
-            else:
-                os.environ[SANITIZE_ENV] = previous_sanitize
-        if args.faults is not None:
-            if previous_faults is None:
-                os.environ.pop(FAULTS_ENV, None)
-            else:
-                os.environ[FAULTS_ENV] = previous_faults
-        if args.timeseries is not None:
-            if previous_timeseries is None:
-                os.environ.pop(TIMESERIES_ENV, None)
-            else:
-                os.environ[TIMESERIES_ENV] = previous_timeseries
-        if args.concurrency is not None:
-            if previous_concurrency is None:
-                os.environ.pop(CONCURRENCY_ENV, None)
-            else:
-                os.environ[CONCURRENCY_ENV] = previous_concurrency
-        if args.serving is not None:
-            if previous_serving is None:
-                os.environ.pop(SERVING_ENV, None)
-            else:
-                os.environ[SERVING_ENV] = previous_serving
     elapsed = time.perf_counter() - started  # noqa: repro-analysis (wall-time stats)
 
     for _name, text, _wall in outputs:

@@ -365,22 +365,13 @@ def main(argv=None) -> int:
 
     if args.timeseries is not None and args.timeseries <= 0:
         parser.error("--timeseries must be positive")
-    if args.timeseries is not None:
-        # Workload factories build their own RunContext; the env var is
-        # the channel the colocation harness attaches samplers through.
-        from repro.obs.timeseries import TIMESERIES_ENV
-        import os
+    # Workload factories build their own RunContext; the env var is the
+    # channel the colocation harness attaches samplers through.
+    from repro.experiments.common import scoped_env
+    from repro.obs.timeseries import TIMESERIES_ENV
 
-        saved = os.environ.get(TIMESERIES_ENV)
-        os.environ[TIMESERIES_ENV] = str(args.timeseries)
-        try:
-            ctx = WORKLOADS[args.workload](args.seed, args.iterations)
-        finally:
-            if saved is None:
-                os.environ.pop(TIMESERIES_ENV, None)
-            else:
-                os.environ[TIMESERIES_ENV] = saved
-    else:
+    timeseries = None if args.timeseries is None else str(args.timeseries)
+    with scoped_env({TIMESERIES_ENV: timeseries}):
         ctx = WORKLOADS[args.workload](args.seed, args.iterations)
     print(f"== run report: {args.workload} (seed={args.seed}) ==")
     print(run_summary(ctx, width=args.width))

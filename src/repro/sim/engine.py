@@ -1,60 +1,47 @@
 """The discrete-event simulation engine (event loop).
 
-The engine keeps an agenda of (time, priority, sequence, event) entries.
-:meth:`Engine.run` pops entries in order, advances the simulated clock,
-and invokes event callbacks — which is how processes get resumed. The
-engine is fully deterministic: two runs with the same seed and the same
-process structure produce identical schedules.
+Events are delivered in (time, priority, sequence) order: earlier time
+first, URGENT before NORMAL at one time, then schedule order.
+:meth:`Engine.run` advances the simulated clock and invokes event
+callbacks — which is how processes get resumed. The engine is fully
+deterministic: two runs with the same seed and the same process
+structure produce identical schedules.
 
-Three interchangeable cores back the agenda (``Engine(core=...)``); all
-three produce **bit-identical schedules** (proven by the hypothesis
-three-way transcript suite in ``tests/test_engine_equivalence.py``):
+The agenda is array-structured. The four order columns are implicit;
+the agenda stores bare event references in position-encoded arrays:
 
-``"legacy"``
-    The original peek/step loop over a single binary heap of
-    (time, priority, sequence, event) tuples. Kept as the measured
-    baseline for ``benchmarks/bench_core.py`` and as the semantic
-    oracle. Selected by ``fast_path=False``.
+* **time** is the key of a calendar bucket: a dict mapping each
+  distinct future timestamp to a pooled list of events, plus a
+  float-only heap of distinct times. Popping a time slice is one
+  float-heap pop + one dict pop, so ordering cost is paid per
+  *distinct timestamp*, not per event — and float-only heap sifts
+  avoid tuple comparison entirely.
+* **priority** is which lane a reference lives in: urgent buckets
+  drain before normal buckets, which drain before the immediate lane
+  (all at one timestamp).
+* **sequence** is array position: within a lane, append order *is*
+  schedule order, so no sequence counter is maintained at all.
+* **event** is the one materialised column.
 
-``"twolane"``
-    The PR-2 fast path: the heap plus a FIFO *immediate lane* deque for
-    events triggered at the current time with normal priority. Kept as
-    a second oracle.
+The immediate lane is a double-buffered FIFO (an append array and a
+drain array that swap roles), so the dominant ``succeed()`` path costs
+one ``list.append``. :meth:`Engine.timeout` recycles pooled
+:class:`Timeout` objects (sole-ownership proven via ``getrefcount``
+before reuse), and processes park directly in the event's ``_waiter``
+slot instead of allocating a bound-method callback per step — see
+DESIGN.md §9 for the layout, the event-type tags, and the pooling
+lifetime rules.
 
-``"array"`` (default)
-    The array-structured event core. The four tuple columns become
-    implicit — the agenda stores bare event references in
-    position-encoded arrays:
-
-    * **time** is the key of a calendar bucket: a dict mapping each
-      distinct future timestamp to a pooled list of events, plus a
-      float-only heap of distinct times. Popping a time slice is one
-      float-heap pop + one dict pop, so ordering cost is paid per
-      *distinct timestamp*, not per event — and float-only heap sifts
-      avoid tuple comparison entirely.
-    * **priority** is which lane a reference lives in: urgent buckets
-      drain before normal buckets, which drain before the immediate
-      lane (all at one timestamp).
-    * **sequence** is array position: within a lane, append order *is*
-      schedule order, so no sequence counter is maintained at all.
-    * **event** is the one materialised column.
-
-    The immediate lane is a double-buffered FIFO (an append array and a
-    drain array that swap roles), the dominant ``succeed()`` path costs
-    one ``list.append``. ``Engine.timeout`` recycles pooled
-    :class:`Timeout` objects (sole-ownership proven via ``getrefcount``
-    before reuse), and processes park directly in the event's
-    ``_waiter`` slot instead of allocating a bound-method callback per
-    step — see DESIGN.md §9 for the layout, the event-type tags, and
-    the pooling lifetime rules.
+:class:`repro.sim.heap_engine.HeapEngine` keeps the plain one-heap loop
+as a test oracle; ``tests/test_engine_equivalence.py`` requires both to
+produce bit-identical transcripts.
 """
 
 from __future__ import annotations
 
 import heapq
 import sys
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sim import instrument as _instrument
 from repro.sim.errors import SimulationError, StopSimulation, UnhandledEventFailure
@@ -65,11 +52,7 @@ from repro.sim.process import Process, ProcessGenerator
 
 Infinity = float("inf")
 
-Entry = Tuple[float, int, int, Event]
-
-CORES = ("array", "twolane", "legacy")
-
-# Array-core pool bounds. Lists are recycled through one pool shared by
+# Pool bounds. Lists are recycled through one pool shared by
 # calendar buckets, slice lanes and the immediate double-buffer; Timeout
 # objects through a second. Both are caps on *retained* idle objects,
 # not on live agenda size.
@@ -98,8 +81,7 @@ class Engine:
 
     # Slots turn every hot-path attribute access (timeout creation,
     # lane routing, clock reads) from a dict lookup into an array load.
-    __slots__ = ("core", "_array", "_fast", "_now", "active_process",
-                 "_agenda", "_immediate", "_sequence",
+    __slots__ = ("_now", "active_process",
                  "_buckets", "_urgents", "_times",
                  "_cur_u", "_cur_u_i", "_cur_n", "_cur_n_i",
                  "_slice_open", "_slice_time",
@@ -107,51 +89,38 @@ class Engine:
                  "_timeout_pool", "_list_pool",
                  "_lb_when", "_lb_list")
 
-    def __init__(self, initial_time: float = 0.0, fast_path: bool = True,
-                 core: Optional[str] = None) -> None:
-        if core is None:
-            core = "array" if fast_path else "legacy"
-        if core not in CORES:
-            raise ValueError(f"unknown engine core {core!r}; expected one "
-                             f"of {CORES}")
-        self.core = core
-        self._array = core == "array"
-        self._fast = core == "twolane"
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self.active_process: Optional[Process] = None
-        # Heap cores (legacy / twolane).
-        self._agenda: List[Entry] = []
-        self._immediate: Deque[Entry] = deque()
-        self._sequence = 0
-        # Array core: calendar agenda. Future events live in per-time
-        # bucket lists; the float heap orders the distinct times. The
-        # heap may hold stale or duplicate times (cheaper than keeping
-        # it exact); consumers skip entries absent from both dicts.
+        # Calendar agenda. Future events live in per-time bucket lists;
+        # the float heap orders the distinct times. The heap may hold
+        # stale or duplicate times (cheaper than keeping it exact);
+        # consumers skip entries absent from both dicts.
         self._buckets: Dict[float, List[Event]] = {}
         self._urgents: Dict[float, List[Event]] = {}
         self._times: List[float] = []
-        # Array core: the open time slice (urgent lane then normal
-        # bucket lane, each an array plus a drain cursor).
+        # The open time slice (urgent lane then normal bucket lane,
+        # each an array plus a drain cursor).
         self._cur_u: List[Event] = []
         self._cur_u_i = 0
         self._cur_n: List[Event] = []
         self._cur_n_i = 0
         self._slice_open = False
         self._slice_time = self._now
-        # Array core: immediate lane — double-buffered FIFO. succeed()
-        # appends to `_imq`; the loop drains `_imd` and swaps buffers.
+        # Immediate lane — double-buffered FIFO. succeed() appends to
+        # `_imq`; the loop drains `_imd` and swaps buffers.
         self._imq: List[Event] = []
         self._imd: List[Event] = []
         self._imd_i = 0
-        # Array core: recycled objects.
+        # Recycled objects.
         self._timeout_pool: List[Timeout] = []
         self._list_pool: List[list] = []
-        # Array core: last-bucket cache. Schedules cluster on a few
-        # future times (every process in a wave re-arms to the same
-        # deadline), so the repeat append skips the dict round trip.
-        # Entries go stale only for times already in the past, which
-        # no insert can target again: `when == now` routes to the
-        # immediate lane and the clock never moves backwards.
+        # Last-bucket cache. Schedules cluster on a few future times
+        # (every process in a wave re-arms to the same deadline), so the
+        # repeat append skips the dict round trip. Entries go stale only
+        # for times already in the past, which no insert can target
+        # again: `when == now` routes to the immediate lane and the
+        # clock never moves backwards.
         self._lb_when: Optional[float] = None
         self._lb_list: List[Event] = []
 
@@ -165,41 +134,16 @@ class Engine:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or infinity if none."""
-        if self._array:
-            if (self._cur_u_i < len(self._cur_u)
-                    or self._cur_n_i < len(self._cur_n)
-                    or self._imd_i < len(self._imd)
-                    or self._imq):
-                return self._now
-            when = self._next_time()
-            return when if when is not None else Infinity
-        head = self._head()
-        return head[0] if head is not None else Infinity
-
-    def _head(self) -> Optional[Entry]:
-        """The next entry across both heap-core lanes (without removing)."""
-        agenda = self._agenda
-        immediate = self._immediate
-        if immediate:
-            if agenda and agenda[0] < immediate[0]:
-                return agenda[0]
-            return immediate[0]
-        if agenda:
-            return agenda[0]
-        return None
-
-    def _pop(self) -> Entry:
-        """Remove and return the next entry across both heap-core lanes."""
-        agenda = self._agenda
-        immediate = self._immediate
-        if immediate:
-            if agenda and agenda[0] < immediate[0]:
-                return heapq.heappop(agenda)
-            return immediate.popleft()
-        return heapq.heappop(agenda)
+        if (self._cur_u_i < len(self._cur_u)
+                or self._cur_n_i < len(self._cur_n)
+                or self._imd_i < len(self._imd)
+                or self._imq):
+            return self._now
+        when = self._next_time()
+        return when if when is not None else Infinity
 
     # ------------------------------------------------------------------
-    # Array-core calendar helpers
+    # Calendar helpers
     # ------------------------------------------------------------------
     def _next_time(self) -> Optional[float]:
         """Next distinct timestamp with pending events, pruning stale
@@ -264,47 +208,45 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` ms.
 
-        On the array core this recycles a pooled, already-processed
-        :class:`Timeout` when one is available — the dominant
-        ``yield env.timeout(x)`` path allocates nothing.
+        Recycles a pooled, already-processed :class:`Timeout` when one
+        is available — the dominant ``yield env.timeout(x)`` path
+        allocates nothing.
         """
-        if self._array:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            pool = self._timeout_pool
-            if pool:
-                event = pool.pop()
-                event._defused = False
-            else:
-                # Inlined construction (the two-level __init__ call chain
-                # is measurable at agenda rates); mirrors Timeout.__init__.
-                event = Timeout.__new__(Timeout)
-                event.engine = self
-                event.callbacks = []
-                event._ok = True
-                event._defused = False
-                event._waiter = None
-            event.delay = delay
-            event._value = value
-            now = self._now
-            when = now + delay
-            if when == now:
-                self._imq.append(event)
-            elif when == self._lb_when:
-                self._lb_list.append(event)
-            else:
-                try:
-                    bucket = self._buckets[when]
-                except KeyError:
-                    lp = self._list_pool
-                    bucket = lp.pop() if lp else []
-                    self._buckets[when] = bucket
-                    heapq.heappush(self._times, when)
-                bucket.append(event)
-                self._lb_when = when
-                self._lb_list = bucket
-            return event
-        return Timeout(self, delay, value)
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        pool = self._timeout_pool
+        if pool:
+            event = pool.pop()
+            event._defused = False
+        else:
+            # Inlined construction (the two-level __init__ call chain
+            # is measurable at agenda rates); mirrors Timeout.__init__.
+            event = Timeout.__new__(Timeout)
+            event.engine = self
+            event.callbacks = []
+            event._ok = True
+            event._defused = False
+            event._waiter = None
+        event.delay = delay
+        event._value = value
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._imq.append(event)
+        elif when == self._lb_when:
+            self._lb_list.append(event)
+        else:
+            try:
+                bucket = self._buckets[when]
+            except KeyError:
+                lp = self._list_pool
+                bucket = lp.pop() if lp else []
+                self._buckets[when] = bucket
+                heapq.heappush(self._times, when)
+            bucket.append(event)
+            self._lb_when = when
+            self._lb_list = bucket
+        return event
 
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:
@@ -386,82 +328,56 @@ class Engine:
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
         """Place a triggered event on the agenda ``delay`` ms from now."""
-        if self._array:
-            now = self._now
-            when = now + delay
-            if priority == NORMAL:
-                # Lane choice keys on the *computed* fire time: a tiny
-                # positive delay can collapse to `when == now`, and such
-                # events must keep immediate-lane FIFO order.
-                if when == now:
-                    self._imq.append(event)
-                    return
-                if when == self._lb_when:
-                    self._lb_list.append(event)
-                    return
-                try:
-                    bucket = self._buckets[when]
-                except KeyError:
-                    lp = self._list_pool
-                    bucket = lp.pop() if lp else []
-                    self._buckets[when] = bucket
-                    heapq.heappush(self._times, when)
-                bucket.append(event)
-                self._lb_when = when
-                self._lb_list = bucket
+        now = self._now
+        when = now + delay
+        if priority == NORMAL:
+            # Lane choice keys on the *computed* fire time: a tiny
+            # positive delay can collapse to `when == now`, and such
+            # events must keep immediate-lane FIFO order.
+            if when == now:
+                self._imq.append(event)
                 return
-            if priority != URGENT:
-                raise SimulationError(
-                    f"array core supports URGENT/NORMAL priorities, "
-                    f"got {priority}")
-            if (when == now and self._slice_open
-                    and self._slice_time == now):
-                self._cur_u.append(event)
+            if when == self._lb_when:
+                self._lb_list.append(event)
                 return
-            bucket = self._urgents.get(when)
-            if bucket is None:
+            try:
+                bucket = self._buckets[when]
+            except KeyError:
                 lp = self._list_pool
                 bucket = lp.pop() if lp else []
-                self._urgents[when] = bucket
+                self._buckets[when] = bucket
                 heapq.heappush(self._times, when)
             bucket.append(event)
+            self._lb_when = when
+            self._lb_list = bucket
             return
-        self._sequence = sequence = self._sequence + 1
-        if delay == 0.0 and priority == NORMAL and self._fast:
-            # Immediate lane: (time, priority, sequence) is monotonically
-            # increasing across appends, so the deque stays key-sorted.
-            self._immediate.append((self._now, NORMAL, sequence, event))
-        else:
-            heapq.heappush(
-                self._agenda,
-                (self._now + delay, priority, sequence, event))
+        if priority != URGENT:
+            raise SimulationError(
+                f"the engine supports URGENT/NORMAL priorities, "
+                f"got {priority}")
+        if (when == now and self._slice_open
+                and self._slice_time == now):
+            self._cur_u.append(event)
+            return
+        bucket = self._urgents.get(when)
+        if bucket is None:
+            lp = self._list_pool
+            bucket = lp.pop() if lp else []
+            self._urgents[when] = bucket
+            heapq.heappush(self._times, when)
+        bucket.append(event)
 
     def step(self) -> None:
         """Process the single next event on the agenda."""
-        if self._array:
-            self._ensure_slice()
-            event = self._pop_array()
-            if event is None:
-                raise SimulationError("attempt to step an empty agenda")
-            self._dispatch_array(event)
-            return
-        if not self._agenda and not self._immediate:
+        self._ensure_slice()
+        event = self._pop()
+        if event is None:
             raise SimulationError("attempt to step an empty agenda")
-        when, _priority, _seq, event = self._pop()
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("agenda time went backwards")
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise UnhandledEventFailure(
-                f"event failed and nobody handled it: {event._value!r}"
-            ) from event._value
+        self._dispatch(event)
 
-    def _pop_array(self) -> Optional[Event]:
-        """Remove and return the next event (array core), advancing the
-        clock if the current slice and immediate lane are drained."""
+    def _pop(self) -> Optional[Event]:
+        """Remove and return the next event, advancing the clock if the
+        current slice and immediate lane are drained."""
         cur_u = self._cur_u
         if self._cur_u_i < len(cur_u):
             index = self._cur_u_i
@@ -498,9 +414,9 @@ class Engine:
         if when is None:
             return None
         self._advance_to(when)
-        return self._pop_array()
+        return self._pop()
 
-    def _dispatch_array(self, event: Event) -> None:
+    def _dispatch(self, event: Event) -> None:
         """Deliver one event: waiter slot first, then listed callbacks."""
         callbacks = event.callbacks
         event.callbacks = None
@@ -527,7 +443,7 @@ class Engine:
 
         ``until`` may be ``None`` (run until the agenda drains), a number
         (run until that simulated time), or an :class:`Event` (run until
-        that event fires, returning its value).
+        that event is processed, returning its value).
 
         Clock semantics for a numeric ``until``: when the loop finishes
         normally — the horizon is reached *or* the agenda drains early —
@@ -539,7 +455,10 @@ class Engine:
         horizon = Infinity
         if until is not None:
             if isinstance(until, Event):
-                if until.triggered:
+                # Processed, not triggered: a Timeout (or any succeeded
+                # event still on the agenda) is triggered before it
+                # happens, and the clock must reach it first.
+                if until.processed:
                     return until.value
                 stop_event = until
                 stop_event.callbacks.append(self._stop_on)
@@ -550,78 +469,27 @@ class Engine:
                         f"until={horizon} is in the past (now={self._now})")
 
         try:
-            if self._array:
-                self._run_array(horizon)
-            elif self._fast:
-                self._run_fast(horizon)
-            else:
-                self._run_legacy(horizon)
+            self._loop(horizon)
         except StopSimulation as stop:
             return stop.value
 
-        if stop_event is not None and not stop_event.triggered:
+        if stop_event is not None:
             raise SimulationError(
                 "run(until=event) exhausted the agenda before the event fired")
         if horizon is not Infinity and self._now < horizon:
             self._now = horizon
         return None
 
-    def _run_legacy(self, horizon: float) -> None:
-        """The original peek/step loop (benchmark baseline)."""
-        while self._agenda or self._immediate:
-            if self.peek() > horizon:
-                return
-            self.step()
-
-    def _run_fast(self, horizon: float) -> None:
-        """Inlined two-lane event loop: merged pop, direct dispatch.
-
-        Semantically identical to ``_run_legacy`` — it exists to strip
-        the per-event method-call and heap overhead off the hot path.
-        """
-        agenda = self._agenda
-        immediate = self._immediate
-        heappop = heapq.heappop
-        popleft = immediate.popleft
-        bounded = horizon is not Infinity
-        while True:
-            if immediate:
-                if agenda and agenda[0] < immediate[0]:
-                    entry = heappop(agenda)
-                else:
-                    entry = popleft()
-            elif agenda:
-                entry = heappop(agenda)
-            else:
-                return
-            when = entry[0]
-            if bounded and when > horizon:
-                # Put the entry back: run() may be called again later.
-                heapq.heappush(agenda, entry)
-                return
-            self._now = when
-            event = entry[3]
-            callbacks = event.callbacks
-            event.callbacks = None
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise UnhandledEventFailure(
-                    f"event failed and nobody handled it: {event._value!r}"
-                ) from event._value
-
-    def _run_array(self, horizon: float) -> None:
-        """Inlined array-core event loop.
+    def _loop(self, horizon: float) -> None:
+        """Inlined event loop.
 
         Drain order within one time slice: urgent lane, then the
         calendar bucket (events scheduled for this time from an earlier
         time — necessarily older sequence numbers), then the immediate
         lane (events triggered *at* this time, in trigger order). New
         urgent arrivals land in the live urgent lane and preempt the
-        rest of the slice, matching the heap cores' priority order.
+        rest of the slice, matching the (time, priority, sequence)
+        order.
 
         Slice and lane cursors are mirrored back into engine fields on
         every exit path (``finally``), so a :class:`StopSimulation`, an
@@ -674,7 +542,7 @@ class Engine:
                     bn = self._cur_n
                     bni = 0
                     continue
-                # -- dispatch (mirrors _dispatch_array, inlined) --
+                # -- dispatch (mirrors _dispatch, inlined) --
                 callbacks = event.callbacks
                 event.callbacks = None
                 waiter = event._waiter

@@ -24,7 +24,7 @@ PENDING = object()
 URGENT = 0
 NORMAL = 1
 
-# Event-type tags: a class-level int so the array-core dispatch loop can
+# Event-type tags: a class-level int so the engine's dispatch loop can
 # switch on the dominant concrete types without isinstance checks. Only
 # TAG_TIMEOUT changes dispatch behaviour today (pool recycling); the rest
 # exist so profiling tools and future dispatch-table entries can bucket
@@ -44,13 +44,13 @@ class Event:
     failure). Failures propagate into every waiting process unless a
     callback marks the event as *defused*.
 
-    ``_waiter`` is the array core's direct-resume slot: when exactly one
-    process waits on an event (the overwhelmingly common case), it parks
-    itself here instead of appending a bound-method callback, and the
-    dispatch loop resumes it without touching the callback list. The
-    waiter is always delivered *before* listed callbacks — identical to
-    the heap cores, where the waiter's callback would have been appended
-    first (the slot is only used while the callback list is empty).
+    ``_waiter`` is the direct-resume slot: when exactly one process
+    waits on an event (the overwhelmingly common case), it parks itself
+    here instead of appending a bound-method callback, and the dispatch
+    loop resumes it without touching the callback list. The waiter is
+    always delivered *before* listed callbacks — the order a plain
+    callback list would give, since the slot is only used while the
+    list is empty.
     """
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_defused",
@@ -154,9 +154,9 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after ``delay`` time units.
 
-    On the array core, processed timeouts whose sole owner was the
-    engine are recycled through ``Engine._timeout_pool`` — construction
-    here is the cold path.
+    Processed timeouts whose sole owner was the engine are recycled
+    through ``Engine._timeout_pool`` — construction here is the cold
+    path.
     """
 
     __slots__ = ("delay",)

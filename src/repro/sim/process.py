@@ -33,12 +33,9 @@ class Initialize(Event):
         self.process = process
         self._ok = True
         self._value = None
-        if engine._array:
-            # Array core: park the process in the waiter slot — no
-            # callback list traffic for the universal startup event.
-            self._waiter = process
-        else:
-            self.callbacks.append(process._resume)
+        # Park the process in the waiter slot — no callback list traffic
+        # for the universal startup event.
+        self._waiter = process
         engine.schedule(self, priority=URGENT)
 
 
@@ -69,8 +66,8 @@ class Interruption(Event):
             return
         # Unsubscribe the process from whatever it was waiting on so that
         # the stale event does not resume it a second time. The process
-        # may be parked in the waiter slot (array core) or registered as
-        # a listed callback.
+        # may be parked in the waiter slot or registered as a listed
+        # callback.
         target = process._target
         if target is not None:
             if target._waiter is process:
@@ -117,7 +114,6 @@ class Process(Event):
         """Advance the generator with the outcome of ``event``."""
         engine = self.engine
         engine.active_process = self
-        array = engine._array
         while True:
             try:
                 if event._ok:
@@ -151,9 +147,9 @@ class Process(Event):
                 event = target
                 continue
             self._target = target
-            if array and not callbacks and target._waiter is None:
-                # Array core: park in the direct waiter slot instead of
-                # allocating a bound-method callback for this wait.
+            if not callbacks and target._waiter is None:
+                # Park in the direct waiter slot instead of allocating
+                # a bound-method callback for this wait.
                 target._waiter = self
             else:
                 callbacks.append(self._resume)

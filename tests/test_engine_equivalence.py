@@ -1,12 +1,13 @@
-"""Three-way engine-core equivalence: legacy == two-lane == array.
+"""Engine equivalence: the array-structured engine == the heap oracle.
 
-The two-lane agenda was introduced as a pure optimisation over the
-legacy loop; the array-structured core replaced it as the default.
-Both optimised cores keep the legacy path as the semantic baseline —
-so these tests run the *same* workload under all three agenda
-implementations and require bit-identical observable behaviour:
-execution log, final clock, trace rows and run-log records.
+:class:`~repro.sim.heap_engine.HeapEngine` keeps the agenda in one
+explicit (time, priority, sequence, event) heap. These tests run the
+*same* workload on both event loops and require bit-identical
+observable behaviour: execution log, final clock, trace rows and
+run-log records.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.sim import Engine
-from repro.sim.engine import CORES
+from repro.sim.heap_engine import HeapEngine
 from repro.workloads import JobSpec, run_colocation
 
 try:
@@ -32,10 +33,20 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
     HAVE_HYPOTHESIS = False
 
 
+def context_on(engine_cls, *args, **kwargs):
+    """``make_context`` with ``engine_cls`` as the context's event loop.
+
+    ``mock.patch`` rather than the ``monkeypatch`` fixture: the
+    hypothesis-driven tests build many contexts per test function.
+    """
+    with mock.patch("repro.core.context.Engine", engine_cls):
+        return make_context(*args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Randomized micro-workloads straight on the engine
 # ---------------------------------------------------------------------------
-def run_program(core, program):
+def run_program(engine_cls, program):
     """Execute a little process zoo; return the observable transcript.
 
     ``program`` is a list of per-process instruction lists; each
@@ -45,7 +56,7 @@ def run_program(core, program):
     negative (wait on event ``-signal_index - 1`` instead of timing
     out), which exercises the immediate-FIFO lane against the heap.
     """
-    engine = Engine(core=core)
+    engine = engine_cls()
     n_events = len(program)
     events = [engine.event() for _ in range(n_events)]
     log = []
@@ -84,10 +95,8 @@ instruction = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(instruction, max_size=6), min_size=1,
                 max_size=5))
-def test_all_three_agendas_are_equivalent(program):
-    transcripts = {core: run_program(core, program) for core in CORES}
-    assert transcripts["array"] == transcripts["legacy"]
-    assert transcripts["twolane"] == transcripts["legacy"]
+def test_engine_matches_heap_oracle(program):
+    assert run_program(Engine, program) == run_program(HeapEngine, program)
 
 
 def test_fixed_program_equivalence():
@@ -100,16 +109,14 @@ def test_fixed_program_equivalence():
         [(5.0, None), (0.0, -3), (1.0, None)],
         [(0.0, -2), (2.0, 1)],
     ]
-    baseline = run_program("legacy", program)
-    assert run_program("array", program) == baseline
-    assert run_program("twolane", program) == baseline
+    assert run_program(Engine, program) == run_program(HeapEngine, program)
 
 
 # ---------------------------------------------------------------------------
 # Full simulation runs
 # ---------------------------------------------------------------------------
-def colocation_transcript(core, policy_factory, jobs, seed):
-    ctx = make_context(v100_server, 2, seed=seed, core=core)
+def colocation_transcript(engine_cls, policy_factory, jobs, seed):
+    ctx = context_on(engine_cls, v100_server, 2, seed=seed)
     gpu = ctx.machine.gpu(0).name
     specs = [
         JobSpec(job=JobHandle(name=name, model=get_model(model),
@@ -141,13 +148,12 @@ WORKLOADS = {
 @pytest.mark.parametrize("seed", [3, 11])
 def test_colocation_identical_under_all_agendas(workload, seed):
     policy_factory, jobs = WORKLOADS[workload]
-    legacy = colocation_transcript("legacy", policy_factory, jobs, seed)
-    for core in ("array", "twolane"):
-        other = colocation_transcript(core, policy_factory, jobs, seed)
-        assert other[2] == legacy[2], core   # final clock
-        assert other[0] == legacy[0], core   # every trace span, in order
-        assert other[1] == legacy[1], core   # every run-log record
-        assert other[3] == legacy[3], core   # per-job stats
+    oracle = colocation_transcript(HeapEngine, policy_factory, jobs, seed)
+    engine = colocation_transcript(Engine, policy_factory, jobs, seed)
+    assert engine[2] == oracle[2]   # final clock
+    assert engine[0] == oracle[0]   # every trace span, in order
+    assert engine[1] == oracle[1]   # every run-log record
+    assert engine[3] == oracle[3]   # per-job stats
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +162,10 @@ def test_colocation_identical_under_all_agendas(workload, seed):
 # the engine transcript — so an identical FaultPlan + seed must break
 # things identically under every agenda.
 # ---------------------------------------------------------------------------
-def faulted_transcript(core, plan_payload, seed):
+def faulted_transcript(engine_cls, plan_payload, seed):
     plan = FaultPlan.from_dict(plan_payload)
-    ctx = make_context(v100_server, 2, seed=seed, core=core,
-                       fault_plan=plan)
+    ctx = context_on(engine_cls, v100_server, 2, seed=seed,
+                     fault_plan=plan)
     gpu = ctx.machine.gpu(0).name
     specs = [
         JobSpec(job=JobHandle(name="bg", model=get_model("ResNet50"),
@@ -207,13 +213,12 @@ FAULT_PLANS = {
 def test_faulted_colocation_identical_under_all_agendas(plan_name,
                                                         seed):
     payload = FAULT_PLANS[plan_name]
-    legacy = faulted_transcript("legacy", payload, seed)
-    for core in ("array", "twolane"):
-        other = faulted_transcript(core, payload, seed)
-        assert other[2] == legacy[2], core   # final clock
-        assert other[0] == legacy[0], core   # every trace span, in order
-        assert other[1] == legacy[1], core   # every run-log record
-        assert other[3] == legacy[3], core   # per-job stats
+    oracle = faulted_transcript(HeapEngine, payload, seed)
+    engine = faulted_transcript(Engine, payload, seed)
+    assert engine[2] == oracle[2]   # final clock
+    assert engine[0] == oracle[0]   # every trace span, in order
+    assert engine[1] == oracle[1]   # every run-log record
+    assert engine[3] == oracle[3]   # per-job stats
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
@@ -245,25 +250,24 @@ def test_random_fault_plans_preserve_equivalence(stall_p, slowdown_n,
         ],
         "recovery": {"restart_delay_ms": 5.0},
     }
-    legacy = faulted_transcript("legacy", payload, seed)
-    assert faulted_transcript("array", payload, seed) == legacy
-    assert faulted_transcript("twolane", payload, seed) == legacy
+    assert (faulted_transcript(Engine, payload, seed)
+            == faulted_transcript(HeapEngine, payload, seed))
 
 
 # ---------------------------------------------------------------------------
 # Two-node cluster workloads: the topology layer (multi-hop routes,
 # route-cost migration targets, cross-node state transfers) must be as
-# core-independent as everything below it. Preemptions here force both
+# engine-independent as everything below it. Preemptions here force both
 # same-node and cross-node migrations into the transcript.
 # ---------------------------------------------------------------------------
-def cluster_transcript(core, seed, fg_delays=(500.0, 520.0),
+def cluster_transcript(engine_cls, seed, fg_delays=(500.0, 520.0),
                        fault_payload=None):
     from repro.hw import v100_cluster
 
     plan = (FaultPlan.from_dict(fault_payload)
             if fault_payload is not None else None)
-    ctx = make_context(v100_cluster, 2, 2, seed=seed, core=core,
-                       fault_plan=plan)
+    ctx = context_on(engine_cls, v100_cluster, 2, 2, seed=seed,
+                     fault_plan=plan)
     machine = ctx.machine
     specs = [
         JobSpec(job=JobHandle(name=f"bg{i}", model=get_model("ResNet50"),
@@ -288,17 +292,16 @@ def cluster_transcript(core, seed, fg_delays=(500.0, 520.0),
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_cluster_colocation_identical_under_all_agendas(seed):
-    legacy = cluster_transcript("legacy", seed)
+    oracle = cluster_transcript(HeapEngine, seed)
     # The scenario must actually exercise the topology layer: at least
     # one multi-hop (cross-node) state transfer in the run log.
-    assert any(r.get("hops", 0) > 1 for r in legacy[1]
+    assert any(r.get("hops", 0) > 1 for r in oracle[1]
                if r.get("event") == "state_transfer_start")
-    for core in ("array", "twolane"):
-        other = cluster_transcript(core, seed)
-        assert other[2] == legacy[2], core   # final clock
-        assert other[0] == legacy[0], core   # every trace span, in order
-        assert other[1] == legacy[1], core   # every run-log record
-        assert other[3] == legacy[3], core   # per-job stats
+    engine = cluster_transcript(Engine, seed)
+    assert engine[2] == oracle[2]   # final clock
+    assert engine[0] == oracle[0]   # every trace span, in order
+    assert engine[1] == oracle[1]   # every run-log record
+    assert engine[3] == oracle[3]   # per-job stats
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
@@ -323,16 +326,14 @@ def test_random_cluster_workloads_preserve_equivalence(seed, delay0, gap,
         "recovery": {"restart_delay_ms": 5.0},
     }
     delays = (delay0, delay0 + gap)
-    legacy = cluster_transcript("legacy", seed, fg_delays=delays,
-                                fault_payload=payload)
-    assert cluster_transcript("array", seed, fg_delays=delays,
-                              fault_payload=payload) == legacy
-    assert cluster_transcript("twolane", seed, fg_delays=delays,
-                              fault_payload=payload) == legacy
+    assert (cluster_transcript(Engine, seed, fg_delays=delays,
+                               fault_payload=payload)
+            == cluster_transcript(HeapEngine, seed, fg_delays=delays,
+                                  fault_payload=payload))
 
 
 # ---------------------------------------------------------------------------
-# Array-core internals: the calendar/bucket agenda, the double-buffered
+# Engine internals: the calendar/bucket agenda, the double-buffered
 # immediate lane and the pooled Timeout path have edge cases (growth,
 # wraparound, re-entry) that generic workloads may not hit reliably.
 # ---------------------------------------------------------------------------
@@ -342,7 +343,7 @@ class TestArrayCoreEdges:
         # Thousands of same-time events force every pooled list to grow
         # far beyond its recycled capacity; ordering must stay schedule
         # order within each lane.
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
         for index in range(5000):
             engine.timeout(1.0).callbacks.append(
@@ -354,9 +355,9 @@ class TestArrayCoreEdges:
     def test_immediate_lane_swap_cycling_with_interleaved_appends(self):
         # Each callback appends a new immediate event, forcing repeated
         # append-buffer/drain-buffer swaps while both buffers are live.
-        # The drain order must match the legacy heap bit for bit.
-        def run(core):
-            engine = Engine(core=core)
+        # The drain order must match the heap oracle bit for bit.
+        def run(engine_cls):
+            engine = engine_cls()
             log = []
 
             def chain(chain_id, step):
@@ -373,13 +374,13 @@ class TestArrayCoreEdges:
             assert engine.now == 0.0
             return log
 
-        assert run("array") == run("legacy")
+        assert run(Engine) == run(HeapEngine)
 
     def test_horizon_reentry_resumes_pending_work(self):
         # run(until=N) snaps the clock to the horizon; a later run()
         # must still deliver events scheduled beyond it, and peek()
         # must see them in between.
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
         for when in (5.0, 15.0, 25.0):
             engine.timeout(when).callbacks.append(
@@ -399,7 +400,7 @@ class TestArrayCoreEdges:
         # must run before the remaining NORMAL events of that slice.
         from repro.sim.events import URGENT
 
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
 
         def first(_event):
@@ -414,7 +415,7 @@ class TestArrayCoreEdges:
         assert log == ["first", "urgent", "second"]
 
     def test_step_and_peek_drive_array_core(self):
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
         engine.timeout(2.0).callbacks.append(lambda _e: log.append("a"))
         engine.timeout(2.0).callbacks.append(lambda _e: log.append("b"))
@@ -433,7 +434,7 @@ class TestArrayCoreEdges:
     def test_pooled_timeouts_recycle_without_crosstalk(self):
         # Long chains of waiter-path timeouts exercise pool reuse; each
         # reused Timeout must deliver its own fresh delay and value.
-        engine = Engine(core="array")
+        engine = Engine()
         seen = []
 
         def proc():
@@ -448,27 +449,20 @@ class TestArrayCoreEdges:
     def test_rejects_exotic_priorities(self):
         from repro.sim.errors import SimulationError
 
-        engine = Engine(core="array")
+        engine = Engine()
         with pytest.raises(SimulationError, match="URGENT/NORMAL"):
             engine.schedule(engine.event(), priority=7)
-
-    def test_core_selection(self):
-        assert Engine().core == "array"
-        assert Engine(fast_path=False).core == "legacy"
-        assert Engine(core="twolane").core == "twolane"
-        with pytest.raises(ValueError):
-            Engine(core="nonesuch")
 
 
 # ---------------------------------------------------------------------------
 # Serving front-end equivalence
 # ---------------------------------------------------------------------------
-def serving_transcript(core, seed):
-    """Full serving workload transcript under one engine core."""
+def serving_transcript(engine_cls, seed):
+    """Full serving workload transcript on one event loop."""
     from repro.serving import (SLOTarget, ServedModelSpec, make_trace,
                                run_serving)
 
-    ctx = make_context(v100_server, 2, seed=seed, core=core)
+    ctx = context_on(engine_cls, v100_server, 2, seed=seed)
     gpu = ctx.machine.gpu(0).name
     trace = make_trace(ctx.rng, "serve", "bursty", 40.0, 1_200.0)
     served = ServedModelSpec(
@@ -496,9 +490,6 @@ def serving_transcript(core, seed):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_serving_identical_under_all_agendas(seed):
     """The serving workload (queue events, batching timeouts, preemption)
-    must be bit-identical across the three engine cores."""
-    reference = serving_transcript("legacy", seed)
-    for core in CORES:
-        if core == "legacy":
-            continue
-        assert serving_transcript(core, seed) == reference, core
+    must be bit-identical on the engine and the heap oracle."""
+    assert (serving_transcript(Engine, seed)
+            == serving_transcript(HeapEngine, seed))

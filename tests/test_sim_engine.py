@@ -4,6 +4,12 @@ import pytest
 
 from repro.sim import Engine, SimulationError
 from repro.sim.errors import UnhandledEventFailure
+from repro.sim.heap_engine import HeapEngine
+
+
+def make_engine(fast):
+    """``fast=True``: the engine; ``fast=False``: the heap oracle."""
+    return Engine() if fast else HeapEngine()
 
 
 def test_clock_starts_at_zero(engine):
@@ -166,7 +172,7 @@ def test_determinism_same_structure_same_schedule():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("fast", [True, False])
 def test_run_until_failed_event_reraises_and_keeps_clock(fast):
-    engine = Engine(fast_path=fast)
+    engine = make_engine(fast)
     watched = engine.event()
 
     def saboteur(env):
@@ -190,7 +196,7 @@ def test_run_until_failed_event_reraises_and_keeps_clock(fast):
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_run_until_number_drain_early_lands_on_horizon_once(fast):
-    engine = Engine(fast_path=fast)
+    engine = make_engine(fast)
 
     def proc(env):
         yield env.timeout(2.0)
@@ -208,7 +214,7 @@ def test_run_until_number_drain_early_lands_on_horizon_once(fast):
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_run_until_event_does_not_advance_to_later_agenda(fast):
-    engine = Engine(fast_path=fast)
+    engine = make_engine(fast)
     stop = engine.event()
 
     def trigger(env):
@@ -228,7 +234,7 @@ def test_run_until_event_does_not_advance_to_later_agenda(fast):
 def test_run_until_number_resumes_pending_entry(fast):
     # An entry beyond the horizon must survive for the next run() call
     # (the fast loop pushes it back onto the heap).
-    engine = Engine(fast_path=fast)
+    engine = make_engine(fast)
     fired = []
 
     def proc(env):
@@ -243,9 +249,31 @@ def test_run_until_number_resumes_pending_entry(fast):
     assert fired == [7.0]
 
 
+@pytest.mark.parametrize("fast", [True, False])
+def test_run_until_timeout_waits_for_it(fast):
+    # A Timeout is triggered from birth; run(until=...) must still let
+    # the clock reach it rather than return its value at once.
+    engine = make_engine(fast)
+    assert engine.run(until=engine.timeout(5.0, value="done")) == "done"
+    assert engine.now == 5.0
+    assert engine.peek() == float("inf")
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_run_until_succeeded_event_runs_earlier_events_first(fast):
+    engine = make_engine(fast)
+    order = []
+    earlier = engine.event()
+    earlier.callbacks.append(lambda _event: order.append("earlier"))
+    earlier.succeed()
+    target = engine.event().succeed("target")
+    assert engine.run(until=target) == "target"
+    assert order == ["earlier"]
+
+
 def test_fast_and_legacy_dispatch_identical_order():
     def build(fast):
-        engine = Engine(fast_path=fast)
+        engine = make_engine(fast)
         log = []
 
         def proc(env, name, delay):
@@ -323,7 +351,7 @@ class TestEvery:
 
     def test_periodics_interleave_deterministically(self):
         def build(fast):
-            eng = Engine(fast_path=fast)
+            eng = make_engine(fast)
             log = []
             eng.every(2.0, lambda env: log.append((env.now, "a")))
             eng.every(3.0, lambda env: log.append((env.now, "b")))
