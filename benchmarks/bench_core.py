@@ -395,7 +395,8 @@ def bench_concurrency_overhead(runs: dict, iterations: int) -> dict:
     load plus a ``None`` test — so ``untracked_nodes_per_sec`` is gated
     against regression alongside ``executor.dispatch``. The tracked
     rates record what full happens-before and lockset-only analysis
-    actually cost on the same workload.
+    actually cost on the same workload; ``hb_nodes_per_sec`` is gated
+    too, so a slower tracker fails the bench gate.
     """
     untracked = _nodes_per_sec(runs["bare"])
     hb = _nodes_per_sec(runs["hb"])

@@ -16,6 +16,18 @@ This module turns those invariants into checkable properties:
   policy job tables) that are unordered by happens-before are flagged
   as ``concurrency.race`` ERRORs.
 
+  Clocks follow a *publication discipline*: an actor's clock leaves it
+  only at a release into a sync clock, a hand-off send or a fork, and
+  each is followed at once by advancing the actor's own component. So
+  any clock holding ``A ↦ ≥k`` covers everything actor ``A`` published
+  at ``k`` (the epoch rule). Most joins are therefore skipped in O(1)
+  (a sync clock's version or origin shows the actor already covers
+  it; a hand-off's sender epoch is already held) or done as a C-level
+  ``dict`` copy (a release into a dominated sync clock; a receive by
+  an actor that absorbed nothing since its last publication). The
+  clocks are identical to entry-by-entry merging; any new hook that
+  publishes a clock must advance the own component right after.
+
 * **Eraser-style lockset pass** (``lockset`` mode, also computed in
   ``hb`` mode) over the same access stream: each shared location's
   candidate lockset is the intersection of the guards held at every
@@ -94,10 +106,42 @@ def _join(dst: Dict[int, int], src: Dict[int, int]) -> None:
             dst[aid] = clock
 
 
+def _advance(actor: "_Actor") -> None:
+    """Close the actor's epoch right after it published its clock."""
+    actor.vc[actor.aid] += 1
+    actor.clean = True
+
+
+def _dominates(actor: "_Actor", key: str, sync: "_SyncClock") -> bool:
+    """O(1) sufficient test that ``actor.vc`` covers ``sync.vc``."""
+    if actor.seen.get(key) == sync.version:
+        return True
+    origin = sync.origin
+    return origin is not None and actor.vc.get(origin[0], 0) >= origin[1]
+
+
+def _absorb(actor: "_Actor", src: Dict[int, int]) -> None:
+    """``actor.vc`` := ``actor.vc`` joined with ``src``.
+
+    A clean actor whose last publication ``src`` already includes
+    (epoch rule) takes a copy of ``src`` with its own component
+    restored, instead of the entry-by-entry merge.
+    """
+    vc = actor.vc
+    aid = actor.aid
+    own = vc[aid]
+    if actor.clean and src.get(aid, 0) >= own - 1:
+        vc = actor.vc = dict(src)
+        vc[aid] = own
+    else:
+        _join(vc, src)
+    actor.clean = False
+
+
 class _Actor:
     """One thread of execution: a simulated process or the event loop."""
 
-    __slots__ = ("aid", "name", "vc", "held", "proc")
+    __slots__ = ("aid", "name", "vc", "held", "proc", "clean", "seen")
 
     def __init__(self, aid: int, name: str, proc: Any = None) -> None:
         self.aid = aid
@@ -105,9 +149,30 @@ class _Actor:
         self.vc: Dict[int, int] = {aid: 1}
         self.held: Set[str] = set()   # mutex-semantics resources held
         self.proc = proc
+        # True while ``vc`` is the initial clock, or exactly the last
+        # publication plus the own-component bump (see _absorb).
+        self.clean = True
+        # sync key -> version of that sync clock this clock dominates.
+        self.seen: Dict[str, int] = {}
 
     def __repr__(self) -> str:
         return f"<_Actor {self.name!r}>"
+
+
+class _SyncClock:
+    """The clock of one synchronization object (lock, channel, guard).
+
+    ``version`` bumps on every release into it. ``origin`` is
+    ``(aid, own)`` while ``vc`` is an exact copy of what actor ``aid``
+    published at own-value ``own``, else None.
+    """
+
+    __slots__ = ("vc", "version", "origin")
+
+    def __init__(self) -> None:
+        self.vc: Dict[int, int] = {}
+        self.version = 0
+        self.origin: Optional[Tuple[int, int]] = None
 
 
 class _VarState:
@@ -220,12 +285,13 @@ class ConcurrencyTracker:
         self._actors: Dict[int, _Actor] = {}     # id(process) -> actor
         self._names: Dict[int, str] = {_ENGINE_AID: "<engine>"}
         self._next_aid = 1
-        self._sync_vc: Dict[str, Dict[int, int]] = {}
+        self._syncs: Dict[str, _SyncClock] = {}
         self._vars: Dict[str, _VarState] = {}
         self._graph = WaitForGraph()
         self._waits: Dict[int, _Wait] = {}       # aid -> wait
         self._wait_by_event: Dict[int, int] = {}  # id(event) -> aid
-        self._handoffs: Dict[Any, Dict[int, int]] = {}
+        # token -> (sender aid, sender's own value, published clock)
+        self._handoffs: Dict[Any, Tuple[int, int, Dict[int, int]]] = {}
         self._sem_keys: Dict[int, str] = {}
         self._keepalive: List[Any] = []          # pin id()-keyed objects
         self._findings: List[Finding] = []
@@ -276,7 +342,8 @@ class ConcurrencyTracker:
         if self.mode == "hb":
             child.vc = dict(creator.vc)
             child.vc[child.aid] = 1
-            creator.vc[creator.aid] = creator.vc.get(creator.aid, 0) + 1
+            child.clean = False
+            _advance(creator)
 
     # ------------------------------------------------------------------
     # Vector-clock edges
@@ -284,16 +351,30 @@ class ConcurrencyTracker:
     def _acquire_edge(self, actor: _Actor, key: str) -> None:
         if self.mode != "hb":
             return
-        sync = self._sync_vc.get(key)
-        if sync:
-            _join(actor.vc, sync)
+        sync = self._syncs.get(key)
+        if sync is None:
+            return
+        if not _dominates(actor, key, sync):
+            _absorb(actor, sync.vc)
+        actor.seen[key] = sync.version
 
     def _release_edge(self, actor: _Actor, key: str) -> None:
         if self.mode != "hb":
             return
-        sync = self._sync_vc.setdefault(key, {})
-        _join(sync, actor.vc)
-        actor.vc[actor.aid] = actor.vc.get(actor.aid, 0) + 1
+        sync = self._syncs.get(key)
+        if sync is None:
+            sync = self._syncs[key] = _SyncClock()
+        # An empty or dominated sync clock merges to the actor's clock.
+        copy = not sync.version or _dominates(actor, key, sync)
+        sync.version += 1
+        if copy:
+            sync.vc = dict(actor.vc)
+            sync.origin = (actor.aid, actor.vc[actor.aid])
+            actor.seen[key] = sync.version
+        else:
+            _join(sync.vc, actor.vc)
+            sync.origin = None
+        _advance(actor)
 
     # ------------------------------------------------------------------
     # Lock-shaped resources (device gates, semaphores)
@@ -440,16 +521,20 @@ class ConcurrencyTracker:
         if self.mode != "hb":
             return
         actor = self._current()
-        self._handoffs[token] = dict(actor.vc)
-        actor.vc[actor.aid] = actor.vc.get(actor.aid, 0) + 1
+        self._handoffs[token] = (actor.aid, actor.vc[actor.aid],
+                                 dict(actor.vc))
+        _advance(actor)
 
     def handoff_recv(self, token: Any) -> None:
         """Join the clock published under ``token``, if any."""
         if self.mode != "hb":
             return
-        vc = self._handoffs.pop(token, None)
-        if vc is not None:
-            _join(self._current().vc, vc)
+        sent = self._handoffs.pop(token, None)
+        if sent is not None:
+            sender, epoch, vc = sent
+            actor = self._current()
+            if actor.vc.get(sender, 0) < epoch:
+                _absorb(actor, vc)
 
     def on_task_queued(self, pool, task) -> None:
         if pool.engine is not self.engine:
@@ -461,6 +546,12 @@ class ConcurrencyTracker:
         if pool.engine is not self.engine:
             return
         self.handoff_recv(("task", task.task_id))
+
+    def on_task_cancelled(self, pool, task) -> None:
+        """A queued task will never start: drop its published clock."""
+        if pool.engine is not self.engine:
+            return
+        self._handoffs.pop(("task", task.task_id), None)
 
     # ------------------------------------------------------------------
     # Shared-state accesses

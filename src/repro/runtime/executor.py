@@ -14,7 +14,7 @@ so no work is lost (Section 3.3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.graph.cost_model import (
     EXPENSIVE_THRESHOLD_MS,
@@ -64,7 +64,7 @@ class ExecutorRun:
     # The last three slots belong to the session layer, which annotates
     # runs with the device/pool/memory context they execute under.
     __slots__ = ("executor", "scope", "done", "aborted", "completed",
-                 "active", "_quiesced", "in_deg", "remaining",
+                 "active", "_quiesced", "in_deg", "remaining", "cc_keys",
                  "transient_allocation", "device_name", "pool")
 
     def __init__(self, executor: "Executor", scope: str,
@@ -86,6 +86,9 @@ class ExecutorRun:
                     if sid in self.in_deg:
                         self.in_deg[sid] -= 1
         self.remaining = len(self.in_deg)
+        # (state key, guard key) for the concurrency tracker, formatted
+        # on the run's first tracked completion.
+        self.cc_keys: Optional[Tuple[str, str]] = None
 
     @property
     def status(self) -> str:
@@ -147,6 +150,8 @@ class Executor:
         self._task_names: Dict[int, str] = {
             node_id: f"{name}/{node.name}"
             for node_id, node in self._node_by_id.items()}
+        # Tracker access sites per node, filled only by tracked runs.
+        self._cc_where: Dict[int, str] = {}
         self._initial_ready = [
             node for node in subgraph if self._base_in_deg[node.node_id] == 0]
         # Jitter streams are keyed by the node's position in the
@@ -285,12 +290,7 @@ class Executor:
                        node: Node, worker: Optional[Worker]) -> None:
         tracker = instrument.TRACKER
         if tracker is not None:
-            # The run's completion/in-degree state is mutated from
-            # worker processes and kernel callbacks alike; the engine's
-            # cooperative scheduling is the implicit guard.
-            tracker.access(f"run:{self.name}:{run.scope}", "write",
-                           where=f"{self.name}/complete/{node.name}",
-                           guard=f"lock:run:{self.name}:{run.scope}")
+            self._track_completion(tracker, run, node)
         run.completed.add(node.node_id)
         run.remaining -= 1
         if run.remaining == 0:
@@ -298,6 +298,21 @@ class Executor:
                 run.done.succeed("completed")
             return
         self._schedule_successors(run, pool, node, worker)
+
+    def _track_completion(self, tracker, run: ExecutorRun,
+                          node: Node) -> None:
+        # The run's completion/in-degree state is mutated from worker
+        # processes and kernel callbacks alike; the engine's cooperative
+        # scheduling is the implicit guard.
+        keys = run.cc_keys
+        if keys is None:
+            keys = run.cc_keys = (f"run:{self.name}:{run.scope}",
+                                  f"lock:run:{self.name}:{run.scope}")
+        where = self._cc_where.get(node.node_id)
+        if where is None:
+            where = self._cc_where[node.node_id] = \
+                f"{self.name}/complete/{node.name}"
+        tracker.access(keys[0], "write", where=where, guard=keys[1])
 
     def _on_kernel_done(self, run: ExecutorRun, pool: ThreadPool,
                         node: Node, event: Event) -> None:

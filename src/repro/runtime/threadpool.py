@@ -250,12 +250,15 @@ class ThreadPool:
         and thread local queues"; it cannot stop a task a worker is
         already executing.
         """
+        tracker = instrument.TRACKER
         cancelled = 0
         for worker in self.workers:
             for task in worker.local:
                 if not task.cancelled and predicate(task):
                     task.cancelled = True
                     cancelled += 1
+                    if tracker is not None:
+                        tracker.on_task_cancelled(self, task)
         return cancelled
 
     def _steal(self, thief: Worker) -> Optional[Task]:

@@ -15,8 +15,9 @@ from repro.analysis.concurrency import (
 )
 from repro.analysis.findings import Severity
 from repro.core import JobHandle, SwitchFlowPolicy, make_context
-from repro.hw import v100_server
+from repro.hw import XEON_DUAL_18C, CpuDevice, v100_server
 from repro.models import get_model
+from repro.runtime import Task, ThreadPool
 from repro.runtime.rendezvous import Rendezvous
 from repro.sim import Engine, instrument
 from repro.sim.errors import Interrupted
@@ -139,6 +140,26 @@ class TestRaceDetection:
         engine.process(consumer())
         engine.run()
         assert not findings(tracker, "concurrency.race")
+
+    def test_cancelled_pool_tasks_release_their_handoffs(self):
+        engine, tracker = tracked_engine()
+        cpu = CpuDevice(engine, XEON_DUAL_18C)
+        pool = ThreadPool(engine, cpu, n_workers=1, name="one")
+        ran = []
+
+        def body(worker, index):
+            yield engine.timeout(1)
+            ran.append(index)
+
+        tasks = [Task(name=f"t{index}", job="j",
+                      body=lambda worker, index=index: body(worker, index))
+                 for index in range(5)]
+        for task in tasks:
+            pool.submit(task)
+        assert pool.cancel(lambda task: task is not tasks[0]) == 4
+        engine.run()
+        assert ran == [0]
+        assert tracker._handoffs == {}
 
 
 # ---------------------------------------------------------------------------
