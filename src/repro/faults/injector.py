@@ -57,6 +57,9 @@ class FaultInjector:
         self._fired_once: Set[int] = set()
         # Crashes armed by on_preemption, realized at the next safe point.
         self._pending_crashes: Dict[str, str] = {}
+        # Site-match results by (spec index, job, device): every kernel
+        # launch asks for each kernel spec, over a handful of sites.
+        self._site_cache: Dict[Tuple[int, str, str], bool] = {}
         self._by_kind: Dict[str, List[FaultSpec]] = {}
         for spec in plan.faults:
             self._by_kind.setdefault(spec.kind, []).append(spec)
@@ -177,10 +180,14 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Trigger evaluation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _site_matches(spec: FaultSpec, job: str, device: str) -> bool:
-        return (fnmatchcase(job, spec.job)
+    def _site_matches(self, spec: FaultSpec, job: str, device: str) -> bool:
+        key = (spec.index, job, device)
+        matched = self._site_cache.get(key)
+        if matched is None:
+            matched = self._site_cache[key] = (
+                fnmatchcase(job, spec.job)
                 and fnmatchcase(device, spec.device))
+        return matched
 
     def _site_fires(self, spec: FaultSpec) -> bool:
         trigger = spec.trigger

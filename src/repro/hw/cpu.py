@@ -52,15 +52,12 @@ class CpuDevice:
         self.spec = spec
         self.name = name or spec.name
         self.tracer = tracer
+        self.lane = f"cpu:{self.name}"
         self.cores = Semaphore(engine, spec.cores)
         reserve = 1 if spec.cores <= 4 else 3
         self.data_slots = Semaphore(engine, max(1, spec.cores - reserve))
         self.memory = MemoryPool(f"{self.name}-dram", host_memory_bytes)
         self.ops_completed = 0
-
-    @property
-    def lane(self) -> str:
-        return f"cpu:{self.name}"
 
     def execute(self, cost_ms: float, label: str = "cpu-op",
                 context: str = "-", data: bool = False):

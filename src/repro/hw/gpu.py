@@ -73,6 +73,7 @@ class GpuDevice:
         self.spec = spec
         self.name = name or spec.name
         self.tracer = tracer
+        self.lane = f"gpu:{self.name}"
         self.memory = MemoryPool(self.name, spec.memory_bytes)
         self._streams: Dict[Tuple[str, int], _StreamState] = {}
         self._running: List[_ResidentKernel] = []
@@ -88,10 +89,6 @@ class GpuDevice:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def lane(self) -> str:
-        return f"gpu:{self.name}"
-
     def launch(self, kernel: KernelLaunch) -> Event:
         """Enqueue ``kernel`` on its (context, stream); returns completion.
 

@@ -51,13 +51,10 @@ class Link:
         self.src = src
         self.dst = dst
         self.tracer = tracer
+        self.lane = f"link:{self.src}->{self.dst}"
         self._lock = Lock(engine)
         self.bytes_moved = 0
         self.transfers_completed = 0
-
-    @property
-    def lane(self) -> str:
-        return f"link:{self.src}->{self.dst}"
 
     def transfer(self, nbytes: int, n_tensors: int = 1,
                  label: str = "memcpy") -> Event:

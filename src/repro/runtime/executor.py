@@ -150,6 +150,12 @@ class Executor:
         self._task_names: Dict[int, str] = {
             node_id: f"{name}/{node.name}"
             for node_id, node in self._node_by_id.items()}
+        # Likewise the host-dispatch span label of each GPU node, which
+        # every such span then shares instead of holding its own copy.
+        self._dispatch_labels: Dict[int, str] = {
+            node_id: f"dispatch/{node.name}"
+            for node_id, node in self._node_by_id.items()
+        } if self.is_gpu else {}
         # Tracker access sites per node, filled only by tracked runs.
         self._cc_where: Dict[int, str] = {}
         self._initial_ready = [
@@ -464,7 +470,7 @@ class Executor:
                        if node.op.attrs.get("recurrent")
                        else EXECUTOR_DISPATCH_MS)
         yield from cpu.execute(dispatch_ms,
-                               label=f"dispatch/{node.name}",
+                               label=self._dispatch_labels[node.node_id],
                                context=self.job)
         if run.aborted:
             return False

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -28,15 +28,22 @@ class JitterStream:
     Each stream owns an independent :class:`random.Random`, so the draws
     a component sees depend only on its own name — never on how other
     components interleave with it.
+
+    The generator is seeded at the first refill, not here: the executor
+    builds one stream per node of every device replica, and most
+    replicas never run. A Mersenne Twister state is about 2.5 KB; an
+    unseeded stream is its slots, its seed and an empty buffer. Seeding
+    later is exact, because a stream's draws depend only on its seed.
     """
 
-    __slots__ = ("sigma", "_rng", "_buffer", "_batch", "_size")
+    __slots__ = ("sigma", "_seed", "_rng", "_buffer", "_batch", "_size")
 
     def __init__(self, seed: int, sigma: float, batch: int = 256) -> None:
         if sigma < 0:
             raise ValueError("jitter sigma cannot be negative")
         self.sigma = sigma
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self._batch = batch
         # Refills grow geometrically up to ``batch``: components with
         # many streams but few draws per stream (the executor keeps one
@@ -48,10 +55,13 @@ class JitterStream:
         self._buffer: List[float] = []
 
     def _refill(self) -> None:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
         count = self._size
         if count < self._batch:
             self._size = min(count * 4, self._batch)
-        gauss = self._rng.gauss
+        gauss = rng.gauss
         sigma = self.sigma
         exp = math.exp
         self._buffer = [exp(sigma * gauss(0.0, 1.0))

@@ -5,10 +5,15 @@ matching the structure of an nvprof/TF-profiler timeline. The Figure 2 and
 Figure 3 reproductions are pure post-processing over these spans, and the
 per-device busy/idle accounting used throughout the metrics package is
 derived from them.
+
+A run records one span per CPU op and kernel but only a few hundred
+distinct metas, so the tracer interns them: spans with equal meta share
+one dict, which readers must treat as read-only.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, \
@@ -18,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A closed interval of activity on one timeline lane."""
 
@@ -59,14 +64,40 @@ class OpenSpan:
         if self._closed:
             raise RuntimeError(f"span {self.name!r} closed twice")
         self._closed = True
-        self._tracer._open.pop(id(self), None)
+        tracer = self._tracer
+        tracer._open.pop(self, None)
         if end is None:
-            end = self._tracer.engine.now
-        meta = dict(self.meta)
-        meta.update(extra_meta)
+            end = tracer.engine.now
+        meta = self.meta
+        if extra_meta:
+            # A new dict: ``self.meta`` may be shared with other spans.
+            meta = tracer._intern_meta({**meta, **extra_meta})
         span = Span(self.lane, self.name, self.start, end, meta)
-        self._tracer.record(span)
+        # ``Tracer.record`` inlined: every CPU op and kernel closes a
+        # span, and this saves the call that interning the meta adds.
+        if tracer.enabled:
+            tracer.spans.append(span)
         return span
+
+
+#: Value types :func:`_same_value` can tell apart beyond ``==``.
+_EXACT_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _same_value(a: Any, b: Any) -> bool:
+    """``a == b`` with the same type, and for floats the same sign.
+
+    ``1 == 1.0 == True`` and ``0.0 == -0.0``, but a span must keep the
+    value it was given. Other types (containers, enums, subclasses) can
+    hide the same difference inside, so for them this is always False
+    and only the same object is shared.
+    """
+    kind = type(a)
+    if kind is not type(b) or kind not in _EXACT_TYPES or a != b:
+        return False
+    if kind is float:
+        return math.copysign(1.0, a) == math.copysign(1.0, b)
+    return True
 
 
 class Tracer:
@@ -77,13 +108,36 @@ class Tracer:
         self.enabled = enabled
         self.spans: List[Span] = []
         # In-progress spans, for leak detection: a lane whose span is
-        # never closed silently under-counts busy time downstream.
-        self._open: Dict[int, OpenSpan] = {}
+        # never closed silently under-counts busy time downstream. An
+        # insertion-ordered set (values unused), keyed by identity.
+        self._open: Dict[OpenSpan, None] = {}
+        self._metas: Dict[Tuple, Dict[str, Any]] = {}
+
+    def _intern_meta(self, meta: Dict[str, Any]) -> Dict[str, Any]:
+        """The tracer's shared dict holding exactly ``meta``, else ``meta``.
+
+        The first meta with given items becomes the shared one. A later
+        meta shares it only if each value is the same object (the usual
+        case: a job name, a cached cost) or :func:`_same_value`; one
+        that is merely ``==`` stays unshared. So does one with an
+        unhashable value.
+        """
+        items = tuple(meta.items())
+        try:
+            shared = self._metas.setdefault(items, meta)
+        except TypeError:
+            return meta
+        for key, value in items:
+            stored = shared[key]
+            if stored is not value and not _same_value(stored, value):
+                return meta
+        return shared
 
     def begin(self, lane: str, name: str, **meta: Any) -> OpenSpan:
         """Open a span on ``lane`` starting now."""
-        span = OpenSpan(self, lane, name, self.engine.now, meta)
-        self._open[id(span)] = span
+        span = OpenSpan(self, lane, name, self.engine.now,
+                        self._intern_meta(meta))
+        self._open[span] = None
         return span
 
     @contextmanager
@@ -99,7 +153,7 @@ class Tracer:
 
     @property
     def open_spans(self) -> List[OpenSpan]:
-        return list(self._open.values())
+        return list(self._open)
 
     def assert_all_closed(self) -> None:
         """Fail loudly if any span was left dangling.
@@ -118,7 +172,7 @@ class Tracer:
             dangling = ", ".join(
                 f"{f.where}/{s.name}@{f.t_start:.3f}"
                 for f, s in zip(open_span_findings(self),
-                                self._open.values(), strict=True))
+                                self._open, strict=True))
             raise RuntimeError(
                 f"{len(self._open)} span(s) never closed: {dangling}")
 
@@ -129,7 +183,7 @@ class Tracer:
     def instant(self, lane: str, name: str, **meta: Any) -> None:
         """Record a zero-duration marker."""
         now = self.engine.now
-        self.record(Span(lane, name, now, now, meta))
+        self.record(Span(lane, name, now, now, self._intern_meta(meta)))
 
     # ------------------------------------------------------------------
     # Queries
@@ -199,7 +253,7 @@ class Tracer:
              "meta": {k: v if isinstance(v, (str, int, float, bool))
                       or v is None else repr(v)
                       for k, v in s.meta.items()}}
-            for s in self._open.values()
+            for s in self._open
         ]
 
     def concurrency_intervals(
