@@ -13,6 +13,10 @@ Three families, matching the hot paths the simulator spends its time in:
   ``check_regression.py`` gates) beside the median and CV of all runs.
 * ``cost_model.lookup`` — memoized vs uncached cost-model lookup rate
   over the model zoo's ops, plus the cache hit rate.
+* ``hw.gpu.launch`` — kernels/s through launch -> completion on one
+  simulated GPU: a single-context chain (the SwitchFlow case, one
+  resident kernel) and a two-context light-kernel co-run (the MPS-style
+  multi-resident case), interleaved best-of-N with median and CV.
 
 Besides these rates, ``obs.trace.retained_bytes_per_span`` records the
 memory a traced CPU op keeps alive; no gate reads it.
@@ -49,7 +53,13 @@ from repro.graph.cost_model import (
     cpu_op_cost_ms,
     gpu_kernel_cost,
 )
-from repro.hw import TESLA_V100, XEON_DUAL_18C, single_gpu_server
+from repro.hw import (
+    TESLA_V100,
+    XEON_DUAL_18C,
+    GpuDevice,
+    KernelLaunch,
+    single_gpu_server,
+)
 from repro.models import get_model
 from repro.sim import Engine, Tracer
 from repro.sim.events import Event
@@ -74,6 +84,7 @@ _HISTOGRAM_QUERIES = (20_000, 50_000)
 _ROUTE_LOOKUPS = (100_000, 300_000)
 _SERVING_DURATION_MS = (1_500.0, 6_000.0)
 _TRACE_SPANS = (10_000, 50_000)
+_GPU_LAUNCH_KERNELS = (20_000, 60_000)
 # Each engine pair is run this many times per side, keeping the best
 # rate. One shot on a shared single-core container carries ±15% noise,
 # which is enough to flip a 3x speedup to 2.6x run-to-run; best-of-N
@@ -290,13 +301,12 @@ def _nodes_per_sec(run: tuple) -> int:
     return round(max(_rates(run)))
 
 
-def _spread(run: tuple, field: str) -> dict:
+def _spread(rates: list, field: str) -> dict:
     """Median and coefficient of variation of ``field`` over all runs.
 
     Best-of-N is what the gate compares; the spread says how far one
     run of this host can stray from it.
     """
-    rates = _rates(run)
     return {f"{field}_median": round(statistics.median(rates)),
             f"{field}_cv": round(statistics.pstdev(rates)
                                  / statistics.fmean(rates), 4)}
@@ -314,7 +324,7 @@ def bench_executor_dispatch(runs: dict, iterations: int) -> dict:
         "simulated_ms": round(ctx.now, 1),
         "wall_s": round(min(times), 3),
         "nodes_per_sec": _nodes_per_sec(runs["bare"]),
-        **_spread(runs["bare"], "nodes_per_sec"),
+        **_spread(_rates(runs["bare"]), "nodes_per_sec"),
     }
 
 
@@ -368,6 +378,76 @@ def bench_executor_ready_churn(total_tasks: int, wave: int = 64,
         "tasks_per_sec": round(total_tasks / elapsed)
         if elapsed > 0 else 0,
     }
+
+
+# ---------------------------------------------------------------------------
+# GPU device family
+# ---------------------------------------------------------------------------
+#: GPU launch cases: (context, stream) of each launch chain, occupancy
+#: and how many kernels each chain keeps launched ahead.
+_GPU_LAUNCH_CASES = {
+    # SwitchFlow's case: one context, heavy kernels, one resident at a
+    # time; the chain keeps later launches queued behind a busy stream.
+    "single_context": ([("train", 0)], 1.0, 4),
+    # MPS-style sharing: light kernels of two contexts co-run, so every
+    # admission and completion recomputes multi-context rates.
+    "two_context": ([("a", 0), ("b", 0)], 0.3, 2),
+}
+
+
+def _gpu_launch_seconds(case: str, kernels: int) -> float:
+    """Wall seconds to push ``kernels`` launches through to completion.
+
+    Each chain launches its next kernel from the completion callback of
+    an earlier one, as the executor does, keeping ``ahead`` launched.
+    """
+    chains, occupancy, ahead = _GPU_LAUNCH_CASES[case]
+    engine = Engine()
+    gpu = GpuDevice(engine, TESLA_V100, name="bench")
+    per_chain = kernels // len(chains)
+    completed = 0
+
+    def launcher(context: str, stream: int):
+        issued = 0
+
+        def launch_next(_event=None) -> None:
+            nonlocal issued, completed
+            if _event is not None:
+                completed += 1
+            if issued < per_chain:
+                issued += 1
+                kernel = KernelLaunch(
+                    name="k", context=context, stream=stream,
+                    work_ms=0.05 + 0.01 * (issued % 7), occupancy=occupancy)
+                gpu.launch(kernel).callbacks.append(launch_next)
+
+        return launch_next
+
+    gc.collect()
+    started = time.perf_counter()
+    for context, stream in chains:
+        launch_next = launcher(context, stream)
+        for _ in range(ahead):
+            launch_next()
+    engine.run()
+    elapsed = time.perf_counter() - started
+    assert completed == per_chain * len(chains) == gpu.kernels_completed
+    return elapsed
+
+
+def bench_gpu_launch(kernels: int, repeats: int) -> dict:
+    """Kernels/s through the GPU engine, both cases interleaved."""
+    times = {case: [] for case in _GPU_LAUNCH_CASES}
+    for _ in range(repeats):
+        for case in _GPU_LAUNCH_CASES:
+            times[case].append(_gpu_launch_seconds(case, kernels))
+    entry = {"kernels": kernels, "repeats": repeats}
+    for case, elapsed in times.items():
+        rates = [kernels / seconds for seconds in elapsed]
+        field = f"{case}_kernels_per_sec"
+        entry[field] = round(max(rates))
+        entry.update(_spread(rates, field))
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +512,11 @@ def bench_concurrency_overhead(runs: dict, iterations: int) -> dict:
         "model": "MobileNetV2",
         "iterations": iterations,
         "untracked_nodes_per_sec": untracked,
-        **_spread(runs["bare"], "untracked_nodes_per_sec"),
+        **_spread(_rates(runs["bare"]), "untracked_nodes_per_sec"),
         "lockset_nodes_per_sec": _nodes_per_sec(runs["lockset"]),
-        **_spread(runs["lockset"], "lockset_nodes_per_sec"),
+        **_spread(_rates(runs["lockset"]), "lockset_nodes_per_sec"),
         "hb_nodes_per_sec": hb,
-        **_spread(runs["hb"], "hb_nodes_per_sec"),
+        **_spread(_rates(runs["hb"]), "hb_nodes_per_sec"),
         "hb_overhead_pct": round(100.0 * (untracked - hb) / untracked, 1),
         "tracked_accesses": tracker.accesses,
         "tracked_sync_ops": tracker.sync_ops,
@@ -462,7 +542,7 @@ def bench_obs_overhead(runs: dict, iterations: int) -> dict:
         "profile_overhead_ms": round(profile.overhead_wall_ms, 3),
         "wall_s": round(min(times), 3),
         "profiled_nodes_per_sec": _nodes_per_sec(runs["timeseries"]),
-        **_spread(runs["timeseries"], "profiled_nodes_per_sec"),
+        **_spread(_rates(runs["timeseries"]), "profiled_nodes_per_sec"),
     }
 
 
@@ -688,6 +768,8 @@ def run_suite(mode: str = "quick", output: Path = DEFAULT_OUTPUT) -> dict:
                 _READY_CHURN_TASKS[size]),
             "cost_model.lookup": bench_cost_lookup(
                 _COST_LOOKUP_ROUNDS[size]),
+            "hw.gpu.launch": bench_gpu_launch(
+                _GPU_LAUNCH_KERNELS[size], _DISPATCH_REPEATS[size]),
             "histogram.quantile": bench_histogram_quantile(
                 _HISTOGRAM_SAMPLES[size], _HISTOGRAM_QUERIES[size]),
             "obs.overhead": bench_obs_overhead(dispatch, iterations),
@@ -729,6 +811,14 @@ def _print_summary(payload: dict) -> None:
     print(f"cost_model.lookup: {cost['uncached_lookups_per_sec']:,}/s "
           f"uncached -> {cost['cached_lookups_per_sec']:,}/s cached "
           f"({cost['speedup']}x, hit rate {cost['cache_hit_rate']:.2%})")
+    launch = benches["hw.gpu.launch"]
+    print(f"hw.gpu.launch: {launch['single_context_kernels_per_sec']:,} "
+          f"kernels/s single-context (median "
+          f"{launch['single_context_kernels_per_sec_median']:,}, CV "
+          f"{launch['single_context_kernels_per_sec_cv']:.1%}), "
+          f"{launch['two_context_kernels_per_sec']:,} two-context co-run "
+          f"(median {launch['two_context_kernels_per_sec_median']:,}, CV "
+          f"{launch['two_context_kernels_per_sec_cv']:.1%})")
     quantile = benches["histogram.quantile"]
     print(f"histogram.quantile: {quantile['cached_queries_per_sec']:,}/s "
           f"cached vs {quantile['churn_queries_per_sec']:,}/s under "
@@ -777,6 +867,9 @@ def test_bench_core(once, tmp_path):
     assert benches["cost_model.lookup"]["cache_hit_rate"] > 0.9
     assert benches["executor.dispatch"]["pool_tasks"] > 0
     assert benches["executor.ready_churn"]["tasks_per_sec"] > 0
+    launch = benches["hw.gpu.launch"]
+    assert launch["single_context_kernels_per_sec"] > 0
+    assert launch["two_context_kernels_per_sec"] > 0
     assert benches["histogram.quantile"]["cache_speedup"] > 1.0
     assert benches["obs.overhead"]["profiled_nodes_per_sec"] > 0
     assert benches["obs.overhead"]["timeseries_windows"] > 0

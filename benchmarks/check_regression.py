@@ -41,6 +41,7 @@ RATE_KEYS: Tuple[Tuple[str, str], ...] = (
     ("executor.dispatch", "nodes_per_sec"),
     ("executor.ready_churn", "tasks_per_sec"),
     ("cost_model.lookup", "cached_lookups_per_sec"),
+    ("hw.gpu.launch", "single_context_kernels_per_sec"),
     ("histogram.quantile", "cached_queries_per_sec"),
     ("obs.overhead", "profiled_nodes_per_sec"),
     ("topology.route_lookup", "route_lookups_per_sec"),

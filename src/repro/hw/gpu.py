@@ -22,6 +22,7 @@ completion time.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.hw.kernels import KernelLaunch
@@ -98,9 +99,19 @@ class GpuDevice:
         """
         done = self.engine.event()
         key = (kernel.context, kernel.stream)
-        state = self._streams.setdefault(key, _StreamState())
-        state.queue.append((kernel, done))
-        self._admit_and_reschedule()
+        state = self._streams.get(key)
+        if state is None:
+            state = self._streams[key] = _StreamState()
+        queue = state.queue
+        queue.append((kernel, done))
+        if state.busy or len(queue) > 1:
+            # Not the head of an idle stream, and every other head was
+            # already refused: nothing can be admitted, and the running
+            # set and its rates stay as they are.
+            self._sync_progress()
+            self._arm_timer()
+        else:
+            self._admit_and_reschedule()
         return done
 
     def cancel_queued(self, context: str) -> List[KernelLaunch]:
@@ -194,10 +205,21 @@ class GpuDevice:
         return busy
 
     def _recompute_rates(self) -> None:
+        running = self._running
+        if len(running) <= 1:
+            # A lone resident runs at 1 / (1 + beta * 0): exactly 1.0.
+            if running:
+                running[0].rate = 1.0
+            return
         beta = self.spec.contention_beta
         total = self.total_occupancy
-        multi_context = len(self.resident_contexts) > 1
-        for resident in self._running:
+        first = running[0].kernel.context
+        multi_context = False
+        for resident in running:
+            if resident.kernel.context != first:
+                multi_context = True
+                break
+        for resident in running:
             others = total - resident.kernel.occupancy
             slowdown = 1.0 + beta * others
             if multi_context:
@@ -208,20 +230,27 @@ class GpuDevice:
 
     def _admit_and_reschedule(self) -> None:
         self._sync_progress()
-        admitted = True
-        while admitted:
-            admitted = False
+        # One pass admits everything that fits: an admitted stream turns
+        # busy and occupancy only grows, so a head refused here is still
+        # refused by a second pass.
+        heads = [(state.queue[0][0].launch_id, key, state)
+                 for key, state in self._streams.items()
+                 if not state.busy and state.queue]
+        if heads:
             # Hardware work queues are served in kernel-launch order
             # (with bypass: a younger kernel that fits may start while
-            # an older one waits for resources).
-            heads = sorted(
-                ((state.queue[0][0].launch_id, key, state)
-                 for key, state in self._streams.items()
-                 if not state.busy and state.queue),
-                key=lambda entry: entry[0])
+            # an older one waits for resources). Launch ids are unique,
+            # so the order does not depend on the dict's.
+            if len(heads) > 1:
+                heads.sort(key=itemgetter(0))
+            running = self._running
+            # Re-summed after each admission rather than kept as a
+            # running total: built-in sum() is compensated on 3.12+,
+            # so running adds would not be bit-equal to it.
+            total = self.total_occupancy
             for _launch_id, key, state in heads:
                 kernel, done = state.queue[0]
-                if self.total_occupancy + kernel.occupancy > 1.0 + _EPSILON:
+                if total + kernel.occupancy > 1.0 + _EPSILON:
                     continue
                 state.queue.popleft()
                 state.busy = True
@@ -239,18 +268,23 @@ class GpuDevice:
                         self.spec.context_switch_overhead_ms
                     self.context_switches += 1
                 self._last_context = kernel.context
-                self._running.append(resident)
-                admitted = True
+                running.append(resident)
+                total = self.total_occupancy
         self._recompute_rates()
         self._arm_timer()
 
     def _arm_timer(self) -> None:
         self._timer_version += 1
-        if not self._running:
+        running = self._running
+        if not running:
             return
         version = self._timer_version
-        horizon = min(
-            max(r.remaining_ms, 0.0) / r.rate for r in self._running)
+        if len(running) == 1:
+            resident = running[0]
+            horizon = max(resident.remaining_ms, 0.0) / resident.rate
+        else:
+            horizon = min(
+                max(r.remaining_ms, 0.0) / r.rate for r in running)
         timer = self.engine.timeout(horizon)
         timer.callbacks.append(lambda _event: self._on_timer(version))
 
@@ -258,12 +292,18 @@ class GpuDevice:
         if version != self._timer_version:
             return  # superseded by a later admission/completion
         self._sync_progress()
-        finished = [r for r in self._running
-                    if r.remaining_ms <= _EPSILON * max(1.0, r.kernel.work_ms)]
+        finished: List[_ResidentKernel] = []
+        still_running: List[_ResidentKernel] = []
+        for resident in self._running:
+            if resident.remaining_ms <= \
+                    _EPSILON * max(1.0, resident.kernel.work_ms):
+                finished.append(resident)
+            else:
+                still_running.append(resident)
         if not finished:
             self._arm_timer()
             return
-        self._running = [r for r in self._running if r not in finished]
+        self._running = still_running
         for resident in finished:
             resident.kernel.finished_at = self.engine.now
             if resident.span is not None:

@@ -22,7 +22,7 @@ from repro.graph.cost_model import (
     gpu_kernel_cost,
 )
 from repro.graph.graph import Graph, Node
-from repro.graph.ops import OpKind
+from repro.graph.ops import CPU_OP_PARALLELISM, OpKind
 from repro.hw.cpu import CpuDevice
 from repro.hw.gpu import GpuDevice
 from repro.hw.kernels import KernelLaunch
@@ -120,10 +120,12 @@ class Executor:
         self.is_gpu = isinstance(device, GpuDevice)
         # Per-node immutable state, computed once per executor so run
         # construction and successor scheduling never rescan the graph:
-        # memoized costs, the expensive/inexpensive classification,
-        # successor adjacency, base in-degrees, and the initial frontier.
+        # memoized costs, the expensive/inexpensive classification, the
+        # host dispatch cost of GPU nodes, successor adjacency, base
+        # in-degrees, and the initial frontier.
         self._costs: Dict[int, object] = {}
         self._expensive: Dict[int, bool] = {}
+        self._dispatch_ms: Dict[int, float] = {}
         self._node_by_id: Dict[int, Node] = {}
         self._base_in_deg: Dict[int, int] = {}
         for node in subgraph:
@@ -137,6 +139,9 @@ class Executor:
             if self.is_gpu:
                 cost = gpu_kernel_cost(node.op, device.spec)
                 self._expensive[node_id] = cost.expensive
+                self._dispatch_ms[node_id] = (
+                    RECURRENT_DISPATCH_MS if node.op.attrs.get("recurrent")
+                    else EXECUTOR_DISPATCH_MS)
             else:
                 cost = cpu_op_cost_ms(node.op, machine.cpu.spec)
                 self._expensive[node_id] = cost >= EXPENSIVE_THRESHOLD_MS
@@ -188,11 +193,7 @@ class Executor:
             node = self._node_by_id[node_id]
             return 0.005 if node.kind is OpKind.SEND else 0.0
         if self.is_gpu:
-            node = self._node_by_id[node_id]
-            dispatch = (RECURRENT_DISPATCH_MS
-                        if node.op.attrs.get("recurrent")
-                        else EXECUTOR_DISPATCH_MS)
-            return cost.work_ms + dispatch
+            return cost.work_ms + self._dispatch_ms[node_id]
         return float(cost)
 
     def critical_path_ms(self) -> float:
@@ -454,8 +455,6 @@ class Executor:
             # CPU_OP_PARALLELISM threads; a smaller pool (SwitchFlow's
             # temporary pool) runs the op proportionally slower — the
             # Section 3.3 isolation-vs-performance tradeoff.
-            from repro.graph.ops import CPU_OP_PARALLELISM
-
             threads = max(1, min(CPU_OP_PARALLELISM,
                                  len(worker.pool.workers)))
             cost_ms *= CPU_OP_PARALLELISM / threads
@@ -466,10 +465,7 @@ class Executor:
     def _execute_gpu(self, run: ExecutorRun, pool: ThreadPool, node: Node):
         cpu = self.machine.cpu
         # Host-side dispatch: dependency resolution + kernel setup.
-        dispatch_ms = (RECURRENT_DISPATCH_MS
-                       if node.op.attrs.get("recurrent")
-                       else EXECUTOR_DISPATCH_MS)
-        yield from cpu.execute(dispatch_ms,
+        yield from cpu.execute(self._dispatch_ms[node.node_id],
                                label=self._dispatch_labels[node.node_id],
                                context=self.job)
         if run.aborted:

@@ -263,6 +263,10 @@ class ThreadPool:
 
     def _steal(self, thief: Worker) -> Optional[Task]:
         """Steal one task from the back of another worker's queue."""
+        if self._queued == 0:
+            # The thief's own queue is empty, so no worker holds a task;
+            # the random victim draw is skipped just as for no candidates.
+            return None
         candidates = [w for w in self.workers
                       if w is not thief and len(w.local) > 0]
         if not candidates:
