@@ -23,15 +23,12 @@ Three passes share one :class:`~repro.analysis.findings.Finding` model:
 """
 
 from repro.analysis.concurrency import (
-    CONCURRENCY_ENV,
     ConcurrencyTracker,
     WaitForGraph,
-    concurrency_enabled,
     deadlock_from_runlog,
     finalize_concurrency,
     lint_concurrency_paths,
     lint_concurrency_source,
-    maybe_attach_concurrency_from_env,
 )
 from repro.analysis.determinism import lint_paths, lint_source
 from repro.analysis.findings import Finding, Report, Severity, merge
@@ -42,11 +39,9 @@ from repro.analysis.graph_lint import (
     lint_session,
 )
 from repro.analysis.integration import (
-    SANITIZE_ENV,
     SanitizationError,
     analyze_context,
     enforce,
-    sanitize_enabled,
 )
 from repro.analysis.sanitizer import (
     SanitizerConfig,
@@ -61,10 +56,8 @@ __all__ = [
     "open_span_findings",
     "lint_graph", "lint_partition", "lint_replicas", "lint_session",
     "lint_paths", "lint_source",
-    "SANITIZE_ENV", "SanitizationError", "analyze_context", "enforce",
-    "sanitize_enabled",
-    "CONCURRENCY_ENV", "ConcurrencyTracker", "WaitForGraph",
-    "concurrency_enabled", "deadlock_from_runlog",
+    "SanitizationError", "analyze_context", "enforce",
+    "ConcurrencyTracker", "WaitForGraph", "deadlock_from_runlog",
     "finalize_concurrency", "lint_concurrency_paths",
-    "lint_concurrency_source", "maybe_attach_concurrency_from_env",
+    "lint_concurrency_source",
 ]

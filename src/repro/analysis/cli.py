@@ -9,11 +9,9 @@ Subcommands::
     python -m repro.analysis concurrency --runlog run.jsonl  # replay
 
 ``lint`` exits 1 on any ERROR finding; ``graphs`` builds each model's
-placed graph and partition and lints both; ``sanitize`` re-runs the
-named experiments with :data:`~repro.analysis.integration.SANITIZE_ENV`
-set, so every run's trace is checked and ERROR findings fail the
-invocation — the same machinery as ``switchflow-experiments
---sanitize``.
+placed graph and partition and lints both; ``sanitize`` runs the named
+experiments through ``switchflow-experiments --sanitize``, so every
+run's trace is checked and ERROR findings fail the invocation.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.analysis.concurrency import (
 from repro.analysis.determinism import lint_paths
 from repro.analysis.findings import Report, Severity, merge
 from repro.analysis.graph_lint import lint_graph, lint_partition
-from repro.analysis.integration import SANITIZE_ENV
 
 
 def _finish(report: Report, quiet: bool = False) -> int:
@@ -67,15 +64,13 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.experiments import runner
-    from repro.experiments.common import scoped_env
 
     argv = list(args.experiments)
     if args.quick:
         argv.append("--quick")
     if args.jobs != 1:
         argv.extend(["--jobs", str(args.jobs)])
-    with scoped_env({SANITIZE_ENV: "1"}):
-        return runner.main(argv)
+    return runner.main(argv + ["--sanitize"])
 
 
 def _cmd_concurrency(args: argparse.Namespace) -> int:

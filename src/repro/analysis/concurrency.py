@@ -60,8 +60,8 @@ Everything flows through the :class:`~repro.analysis.findings.Report`
 model, so ``runner --sanitize`` enforcement, the
 ``analysis.findings_total{check="concurrency.*"}`` metrics and the CLI
 all work unchanged. Tracking is attached per run context
-(``ctx.attach_concurrency()``) or via ``$REPRO_CONCURRENCY`` / the
-runner's ``--concurrency`` flag; disabled tracking costs one global
+(``ctx.attach_concurrency()``) or by the active run options (the
+runner's ``--concurrency`` flag); disabled tracking costs one global
 load and a ``None`` test per hook site.
 """
 
@@ -83,13 +83,8 @@ from typing import (
 
 from repro.analysis.determinism import PRAGMA, iter_python_files
 from repro.analysis.findings import Finding, Report, Severity
+from repro.core.options import current_options
 from repro.sim import instrument
-
-#: Set non-empty/non-"0" to attach a tracker to every colocation run
-#: ("lockset" selects the cheaper lockset-only mode; anything else is
-#: full happens-before). Environment, not a parameter, so forked pool
-#: workers inherit it — same pattern as $REPRO_SANITIZE.
-CONCURRENCY_ENV = "REPRO_CONCURRENCY"
 
 #: Path to append each run's rendered concurrency report to (the CI
 #: artifact hook). Unset means no file is written.
@@ -766,29 +761,6 @@ def deadlock_from_runlog(records: Iterable[Dict[str, Any]],
 # ---------------------------------------------------------------------------
 # Harness integration
 # ---------------------------------------------------------------------------
-def concurrency_enabled() -> bool:
-    return os.environ.get(CONCURRENCY_ENV, "") not in ("", "0")
-
-
-def mode_from_env() -> str:
-    value = os.environ.get(CONCURRENCY_ENV, "").strip().lower()
-    return "lockset" if value == "lockset" else "hb"
-
-
-def maybe_attach_concurrency_from_env(ctx):
-    """Attach a tracker when $REPRO_CONCURRENCY asks for one.
-
-    No-op when the variable is unset/"0" or the context already has a
-    tracker (an explicit ``attach_concurrency`` wins). Returns the
-    tracker or None.
-    """
-    if not concurrency_enabled():
-        return None
-    if getattr(ctx, "concurrency", None) is not None:
-        return None
-    return ctx.attach_concurrency(mode=mode_from_env())
-
-
 def finalize_concurrency(ctx, label: str = "run") -> Optional[Report]:
     """End-of-run bookkeeping for an attached tracker.
 
@@ -803,8 +775,7 @@ def finalize_concurrency(ctx, label: str = "run") -> Optional[Report]:
     tracker.finalized = True
     tracker.uninstall()
     report = tracker.report(label=label)
-    from repro.analysis.integration import sanitize_enabled
-    if not sanitize_enabled():
+    if not current_options().sanitize:
         # With --sanitize, analyze_context folds this report in and
         # exports the merged counts; don't double-count findings.
         report.export_metrics(ctx.metrics)

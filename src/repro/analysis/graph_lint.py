@@ -14,7 +14,7 @@ model instead of raising, so a single pass surfaces *every* problem.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.analysis.findings import Report
 from repro.graph.graph import Graph
@@ -242,10 +242,3 @@ def _check_channels(report: Report, partition: Partition) -> None:
                 f"channel {key!r} is wired but not declared in the "
                 f"partition's channel list", where=partition.name)
 
-
-def lint_graphs(graphs: Iterable[Graph]) -> Report:
-    """Convenience: lint several graphs into one report."""
-    report = Report("graph lint")
-    for graph in graphs:
-        lint_graph(graph, report=report)
-    return report

@@ -1,13 +1,11 @@
 """Wiring of the analysis passes into the experiment pipeline.
 
 ``switchflow-experiments --sanitize`` (and the ``repro.analysis
-sanitize`` subcommand) set :data:`SANITIZE_ENV`; the experiment
-harnesses then call :func:`enforce` on every finished
-:class:`~repro.core.context.RunContext`. The environment variable —
-rather than a parameter — is deliberate: the parallel runner fans
-experiments across ``fork``-ed worker processes, and the flag must
-survive that boundary without threading a new argument through every
-experiment signature.
+sanitize`` subcommand) activate :class:`~repro.core.options.RunOptions`
+with ``sanitize`` set; the experiment harnesses call :func:`enforce` on
+every finished :class:`~repro.core.context.RunContext`, in whichever
+process the experiment runs (``fanout_map`` ships the active options to
+its workers).
 
 ``enforce`` runs the schedule sanitizer and (when sessions are known)
 the graph linter, exports finding counts through the run's ``obs``
@@ -18,15 +16,12 @@ non-zero exit.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
 
 from repro.analysis.findings import Report, Severity
 from repro.analysis.graph_lint import lint_session
 from repro.analysis.sanitizer import SanitizerConfig, sanitize_run
-
-#: Set to a non-empty, non-"0" value to sanitize every run.
-SANITIZE_ENV = "REPRO_SANITIZE"
+from repro.core.options import current_options
 
 
 class SanitizationError(RuntimeError):
@@ -35,10 +30,6 @@ class SanitizationError(RuntimeError):
     def __init__(self, report: Report) -> None:
         super().__init__(report.render(min_severity=Severity.WARNING))
         self.report = report
-
-
-def sanitize_enabled() -> bool:
-    return os.environ.get(SANITIZE_ENV, "") not in ("", "0")
 
 
 def analyze_context(ctx, policy=None, sessions: Iterable = (),
@@ -67,12 +58,12 @@ def analyze_context(ctx, policy=None, sessions: Iterable = (),
 
 def enforce(ctx, policy=None, sessions: Iterable = (),
             label: str = "run") -> Optional[Report]:
-    """Sanitize ``ctx`` if :data:`SANITIZE_ENV` is set; raise on ERROR.
+    """Sanitize ``ctx`` if the active options ask for it; raise on ERROR.
 
     Returns the report when sanitization ran (None when disabled) so
     harnesses can surface warning counts without re-running the passes.
     """
-    if not sanitize_enabled():
+    if not current_options().sanitize:
         return None
     report = analyze_context(ctx, policy=policy, sessions=sessions,
                              label=label)

@@ -4,6 +4,12 @@ from repro.core.config import ConfigError, SwitchFlowConfig
 from repro.core.context import DEFAULT_TEMPORARY_WORKERS, RunContext, make_context
 from repro.core.gate import DeviceGate
 from repro.core.job import PRIORITY_HIGH, PRIORITY_LOW, JobHandle
+from repro.core.options import (
+    RunOptions,
+    RunOptionsError,
+    current_options,
+    use_options,
+)
 from repro.core.policy import ComputeGrant, SchedulingPolicy
 from repro.core.switchflow import SwitchFlowPolicy
 
@@ -17,7 +23,11 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "RunContext",
+    "RunOptions",
+    "RunOptionsError",
     "SchedulingPolicy",
     "SwitchFlowPolicy",
+    "current_options",
     "make_context",
+    "use_options",
 ]

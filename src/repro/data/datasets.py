@@ -41,10 +41,6 @@ class SentenceRecord:
     source_tokens: int
     target_tokens: int
 
-    @property
-    def preprocess_cost_scale(self) -> float:
-        return self.source_tokens / 30.0
-
 
 class SyntheticImageNet:
     """ImageNet-like stream: lognormal JPEG sizes, varied resolutions.

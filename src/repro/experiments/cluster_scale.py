@@ -33,10 +33,11 @@ from repro.core import (
     PRIORITY_LOW,
     JobHandle,
     SwitchFlowPolicy,
+    current_options,
     make_context,
 )
 from repro.experiments.common import ExperimentResult, fanout_map
-from repro.faults import FaultPlan, plan_from_env
+from repro.faults import FaultPlan
 from repro.graph.partition import partition_graph
 from repro.graph.placement import GangMember, GangScheduler, place_graph
 from repro.hw.topology import v100_cluster
@@ -216,7 +217,7 @@ def run(requests: int = 30, nodes: Sequence[int] = FULL_NODES,
     if seed is None:
         seed = int(os.environ.get(SEED_ENV, "0"))
     if plan is None:
-        plan = plan_from_env() or default_plan()
+        plan = current_options().faults or default_plan()
     slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
 
     payload = plan.to_dict()

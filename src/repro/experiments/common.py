@@ -11,11 +11,12 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from repro.baselines import MultiThreadedTF
 from repro.core import JobHandle, RunContext, make_context
+from repro.core.options import RunOptions, current_options, use_options
 from repro.core.policy import SchedulingPolicy
 from repro.metrics.throughput import JobStats
 from repro.models import ModelSpec
@@ -88,25 +89,21 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 @contextmanager
-def scoped_env(values: Mapping[str, Optional[str]]) -> Iterator[None]:
-    """Set environment variables for the duration of a ``with`` block.
-
-    Each variable with a non-``None`` value is set on entry and put
-    back on exit — to its previous value, or unset if it had none.
-    ``None`` leaves that variable untouched.
-    """
-    saved = {name: os.environ.get(name)
-             for name, value in values.items() if value is not None}
-    for name in saved:
-        os.environ[name] = values[name]
+def jobs_for_block(jobs: Optional[int]) -> Iterator[None]:
+    """Set ``$REPRO_JOBS`` to ``jobs`` for a ``with`` block and put the
+    previous value back on exit (``None`` leaves it untouched)."""
+    if jobs is None:
+        yield
+        return
+    previous = os.environ.get(JOBS_ENV_VAR)
+    os.environ[JOBS_ENV_VAR] = str(jobs)
     try:
         yield
     finally:
-        for name, previous in saved.items():
-            if previous is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = previous
+        if previous is None:
+            os.environ.pop(JOBS_ENV_VAR, None)
+        else:
+            os.environ[JOBS_ENV_VAR] = previous
 
 
 # Set inside workers: ProcessPoolExecutor children are not daemonic
@@ -139,16 +136,19 @@ class _RemoteTraceback(Exception):
         super().__init__(f"\n\n--- worker traceback ---\n{tb}")
 
 
-def _capture_call(payload: Tuple[Callable[[Any], Any], Any]) -> tuple:
-    """Run ``fn(item)`` in the worker, capturing any exception.
+def _capture_call(payload: Tuple[Callable[[Any], Any], Any, RunOptions]
+                  ) -> tuple:
+    """Run ``fn(item)`` in the worker under the parent's run options,
+    capturing any exception.
 
     Exceptions are shipped back as (picklable) payloads instead of
     being raised: raising inside the worker loses the child traceback,
     and some exceptions don't survive pickling at all.
     """
-    fn, item = payload
+    fn, item, options = payload
     try:
-        return "ok", fn(item)
+        with use_options(options):
+            return "ok", fn(item)
     except BaseException as exc:  # noqa: B036 - re-raised in the parent
         return "err", exc, traceback.format_exc()
 
@@ -161,7 +161,8 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     plain-data args). Falls back to the serial path when ``jobs`` <= 1,
     there is at most one item, or we are already inside a pool worker —
     so callers can use it unconditionally. Output order always matches
-    input order.
+    input order. Each worker call runs under the caller's active
+    :class:`~repro.core.options.RunOptions`.
 
     Failure semantics: an exception raised by ``fn`` inside a worker is
     re-raised here as itself, with the worker's formatted traceback
@@ -178,7 +179,8 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else None)
-    payloads = [(fn, item) for item in items]
+    options = current_options()
+    payloads = [(fn, item, options) for item in items]
     try:
         with ProcessPoolExecutor(max_workers=jobs, mp_context=context,
                                  initializer=_fanout_worker_init) as pool:

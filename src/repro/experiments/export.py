@@ -1,9 +1,8 @@
-"""Export experiment results to CSV / JSON / Markdown / Chrome traces.
+"""Export experiment results to CSV / JSON / Markdown.
 
 Lets downstream users archive reproduction runs or drop the tables into
 reports without re-parsing the text rendering. Trace and metrics
-exports delegate to :mod:`repro.obs`, so any experiment's RunContext
-can be dumped for ``chrome://tracing`` or offline analysis.
+exports of a run live in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.experiments.common import ExperimentResult
-from repro.obs.chrome_trace import tracer_to_chrome_trace
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.trace import Tracer
 
 PathLike = Union[str, Path]
 
@@ -79,24 +75,6 @@ def to_markdown(result: ExperimentResult) -> str:
         lines.append("")
         lines.extend(f"*{note}*" for note in result.notes)
     return "\n".join(lines) + "\n"
-
-
-def to_chrome_trace(tracer: Tracer,
-                    path: Optional[PathLike] = None) -> str:
-    """Serialize a run's spans as chrome://tracing JSON."""
-    text = json.dumps(tracer_to_chrome_trace(tracer))
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
-
-def metrics_to_json(registry: MetricsRegistry,
-                    path: Optional[PathLike] = None) -> str:
-    """Serialize a full metrics snapshot (every series, with quantiles)."""
-    text = json.dumps(registry.snapshot(), indent=2)
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
 
 
 def _plain(value: Any) -> Any:

@@ -10,8 +10,8 @@ recovered fault counts come straight from the ``faults.*`` metrics.
 
 ``rate`` scales the plan's trigger intensities (``0`` disables every
 fault — the control column; ``2`` fires twice as often), so one plan
-yields a survival-vs-pressure curve per policy. The plan comes from
-``$REPRO_FAULTS`` (the runner's ``--faults`` flag) or falls back to a
+yields a survival-vs-pressure curve per policy. The plan comes from the
+active run options (the runner's ``--faults`` flag) or falls back to a
 moderate built-in. Every cell runs with whatever `repro.analysis`
 enforcement is active, so a sweep under ``--sanitize`` doubles as an
 adversarial proof of the paper's invariants.
@@ -34,10 +34,11 @@ from repro.core import (
     PRIORITY_LOW,
     JobHandle,
     SwitchFlowPolicy,
+    current_options,
     make_context,
 )
 from repro.experiments.common import ExperimentResult, fanout_map
-from repro.faults import FaultPlan, plan_from_env
+from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.workloads import JobSpec, run_colocation
@@ -83,7 +84,7 @@ def _fault_free(plan: FaultPlan) -> FaultPlan:
     """An empty plan carrying the same recovery config.
 
     Attached explicitly so the reference runs never pick up the
-    full-rate ``$REPRO_FAULTS`` plan through the harness.
+    full-rate ``--faults`` plan through the harness.
     """
     return FaultPlan(faults=[], recovery=plan.recovery)
 
@@ -147,7 +148,7 @@ def run(requests: int = 30, rates: Sequence[float] = FULL_RATES,
     if seed is None:
         seed = int(os.environ.get(SEED_ENV, "0"))
     if plan is None:
-        plan = plan_from_env() or default_plan()
+        plan = current_options().faults or default_plan()
     slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
 
     payload = plan.to_dict()

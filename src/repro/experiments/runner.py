@@ -15,6 +15,11 @@ byte-identical to the sequential run's. When a *single* experiment is
 requested, N is handed to the experiment itself (via $REPRO_JOBS) so
 experiments that fan out internally — e.g. fig3's per-config solo runs
 — can use the workers instead.
+
+The run-feature flags (``--sanitize --faults --timeseries --concurrency
+--serving``) are validated once into a
+:class:`~repro.core.options.RunOptions`, which is active for the whole
+run and travels with every fan-out payload.
 """
 
 from __future__ import annotations
@@ -40,14 +45,10 @@ from repro.experiments import (
     serving_colocation,
     table1_state_transfer,
 )
-from repro.analysis.concurrency import CONCURRENCY_ENV
-from repro.analysis.integration import SANITIZE_ENV, SanitizationError
-from repro.experiments.common import JOBS_ENV_VAR, fanout_map, scoped_env
-from repro.faults import FAULTS_ENV, FaultPlan, FaultPlanError
+from repro.analysis.integration import SanitizationError
+from repro.core.options import RunOptions, RunOptionsError, use_options
+from repro.experiments.common import fanout_map, jobs_for_block
 from repro.obs.procpool import ProcPoolStats
-from repro.obs.timeseries import TIMESERIES_ENV
-from repro.serving.config import SERVING_ENV, ServingConfig, \
-    ServingConfigError
 
 # name -> (full-run callable, quick-run callable)
 EXPERIMENTS: Dict[str, Dict[str, Callable]] = {
@@ -198,40 +199,20 @@ def main(argv=None) -> int:
                              "shed, batch, timeout, slo")
     args = parser.parse_args(argv)
 
-    if args.concurrency is not None and \
-            args.concurrency not in ("hb", "lockset", "1"):
-        print(f"--concurrency: expected 'hb' or 'lockset', got "
-              f"{args.concurrency!r}", file=sys.stderr)
+    try:
+        # Validate every run-feature flag (and read the fault plan)
+        # once, before any experiment burns time.
+        options = RunOptions.parse(
+            sanitize=args.sanitize, faults=args.faults,
+            timeseries=args.timeseries, concurrency=args.concurrency,
+            serving=args.serving)
+    except RunOptionsError as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    if args.faults is not None:
-        # Fail fast on a bad plan, before any experiment burns time.
-        try:
-            FaultPlan.load(args.faults)
-        except FaultPlanError as exc:
-            print(f"--faults: {exc}", file=sys.stderr)
-            return 2
-
-    if args.timeseries is not None:
-        # Same fail-fast validation as --faults: reject a malformed
-        # interval spec before any experiment burns time.
-        interval, _, capacity = args.timeseries.partition(":")
-        try:
-            if float(interval) <= 0 or (capacity and int(capacity) < 1):
-                raise ValueError
-        except ValueError:
-            print(f"--timeseries: expected 'MS[:capacity]' with a "
-                  f"positive interval, got {args.timeseries!r}",
-                  file=sys.stderr)
-            return 2
-
-    if args.serving is not None:
-        # Fail fast on a bad override spec, like --faults/--timeseries.
-        try:
-            ServingConfig.parse(args.serving)
-        except ServingConfigError as exc:
-            print(f"--serving: {exc}", file=sys.stderr)
-            return 2
+    if args.jobs < 1:
+        print(f"--jobs: expected a positive worker count, got "
+              f"{args.jobs}", file=sys.stderr)
+        return 2
 
     if args.list or not args.experiments:
         print("available experiments:")
@@ -250,26 +231,16 @@ def main(argv=None) -> int:
             continue
         valid.append(name)
 
-    jobs = max(1, args.jobs)
+    jobs = args.jobs
     mode = "quick" if args.quick else "full"
     specs = [(name, mode, args.timeline) for name in valid]
 
-    env = {
-        # A single experiment cannot fan across experiments — hand the
-        # workers to its internal config fan-out instead.
-        JOBS_ENV_VAR: str(jobs) if jobs > 1 and len(valid) == 1 else None,
-        # Environment (not parameters) so forked pool workers inherit
-        # them: run_colocation/run_serving attach each feature in
-        # whichever process the experiment executes in.
-        SANITIZE_ENV: "1" if args.sanitize else None,
-        FAULTS_ENV: args.faults,
-        TIMESERIES_ENV: args.timeseries,
-        CONCURRENCY_ENV: args.concurrency,
-        SERVING_ENV: args.serving,
-    }
+    # A single experiment cannot fan across experiments — hand the
+    # workers to its internal config fan-out instead.
+    handoff = jobs if jobs > 1 and len(valid) == 1 else None
     started = time.perf_counter()  # noqa: repro-analysis (wall-time stats)
     try:
-        with scoped_env(env):
+        with use_options(options), jobs_for_block(handoff):
             outputs = fanout_map(_render_experiment, specs,
                                  jobs=jobs if len(valid) > 1 else 1)
     except SanitizationError as exc:

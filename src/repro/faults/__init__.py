@@ -10,8 +10,6 @@ invariants still held throughout.
 
 from __future__ import annotations
 
-import os
-
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     CLOCK_KINDS,
@@ -30,35 +28,8 @@ from repro.faults.recovery import (
     backoff_ms,
 )
 
-#: Environment variable naming a fault-plan JSON file. The experiment
-#: runner's ``--faults`` flag sets it; harnesses read it via
-#: :func:`maybe_attach_from_env` so fault plans survive the fork into
-#: ``fanout_map`` workers, like ``REPRO_SANITIZE`` does.
-FAULTS_ENV = "REPRO_FAULTS"
-
-
-def plan_from_env() -> "FaultPlan | None":
-    """The plan named by ``$REPRO_FAULTS``, or None when unset."""
-    path = os.environ.get(FAULTS_ENV, "").strip()
-    if not path:
-        return None
-    return FaultPlan.load(path)
-
-
-def maybe_attach_from_env(ctx) -> "FaultInjector | None":
-    """Attach the env-configured plan to ``ctx`` (idempotent no-op
-    when ``$REPRO_FAULTS`` is unset or faults are already attached)."""
-    if ctx.faults is not None:
-        return ctx.faults
-    plan = plan_from_env()
-    if plan is None:
-        return None
-    return ctx.attach_faults(plan)
-
-
 __all__ = [
     "CLOCK_KINDS",
-    "FAULTS_ENV",
     "KINDS",
     "SITE_KINDS",
     "DegradationTracker",
@@ -71,6 +42,4 @@ __all__ = [
     "RecoveryConfig",
     "Trigger",
     "backoff_ms",
-    "maybe_attach_from_env",
-    "plan_from_env",
 ]

@@ -44,7 +44,8 @@ Everything is deterministic: no wall clock, no global RNG.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -60,6 +61,22 @@ PathLike = Union[str, Path]
 
 class FaultPlanError(ValueError):
     """A fault plan failed validation."""
+
+
+def _check_number(where: str, name: str, value: Any,
+                  integral: bool = False) -> None:
+    """Reject a non-number (bools included) or a non-finite one, and a
+    non-integer where ``integral`` asks for a count."""
+    try:
+        valid = (not isinstance(value, bool)
+                 and isinstance(value, int if integral else (int, float))
+                 and math.isfinite(value))
+    except OverflowError:  # an int beyond float range
+        valid = False
+    if not valid:
+        expected = "an integer" if integral else "a finite number"
+        raise FaultPlanError(f"{where}: {name} must be {expected}, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,8 @@ class Trigger:
             raise FaultPlanError(
                 f"{where}: trigger needs exactly one of at_ms/every_ms/"
                 f"every_n/probability, got {set_fields or 'none'}")
+        _check_number(where, set_fields[0], getattr(self, set_fields[0]),
+                      integral=set_fields[0] == "every_n")
         if self.at_ms is not None and self.at_ms < 0:
             raise FaultPlanError(f"{where}: at_ms cannot be negative")
         if self.every_ms is not None and self.every_ms <= 0:
@@ -135,6 +154,11 @@ class FaultSpec:
                 f"{where}: unknown kind {self.kind!r}; expected one of "
                 f"{KINDS}")
         self.trigger.validate(self.kind, self.index)
+        for name in ("job", "device", "on"):
+            if not isinstance(getattr(self, name), str):
+                raise FaultPlanError(f"{where}: {name} must be a string")
+        for name in ("factor", "stall_ms", "fraction", "duration_ms"):
+            _check_number(where, name, getattr(self, name))
         if self.kind == "kernel_slowdown" and self.factor <= 0:
             raise FaultPlanError(f"{where}: factor must be positive")
         if self.kind == "kernel_stall" and self.stall_ms < 0:
@@ -151,10 +175,6 @@ class FaultSpec:
             raise FaultPlanError(
                 f"{where}: on must be 'iteration' or 'preempt', "
                 f"got {self.on!r}")
-
-    @property
-    def clocked(self) -> bool:
-        return self.kind in CLOCK_KINDS
 
     def stream_name(self) -> str:
         """RNG stream for probabilistic draws — stable per plan slot."""
@@ -195,6 +215,9 @@ class RecoveryConfig:
     degrade_after: int = 3
 
     def validate(self) -> None:
+        for spec in fields(self):
+            _check_number("recovery", spec.name, getattr(self, spec.name),
+                          integral=spec.type == "int")
         if self.transfer_retries < 0:
             raise FaultPlanError("recovery.transfer_retries cannot be "
                                  "negative")
@@ -247,8 +270,11 @@ class FaultPlan:
         if unknown:
             raise FaultPlanError(
                 f"unknown top-level plan keys: {sorted(unknown)}")
+        entries = payload.get("faults", [])
+        if not isinstance(entries, list):
+            raise FaultPlanError("'faults' must be a list")
         specs = []
-        for index, entry in enumerate(payload.get("faults", ())):
+        for index, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise FaultPlanError(
                     f"faults[{index}] must be an object")

@@ -87,9 +87,3 @@ class CpuDevice:
             if data:
                 self.data_slots.release()
             self.ops_completed += 1
-
-    def flops_cost_ms(self, flops: float, efficiency: float = 0.5) -> float:
-        """Time for ``flops`` of dense math on ONE core."""
-        if flops < 0:
-            raise ValueError("flops cannot be negative")
-        return flops / (self.spec.per_core_flops_per_ms * efficiency)

@@ -53,10 +53,6 @@ class GpuSpec:
     def memory_bytes_per_ms(self) -> float:
         return self.memory_bandwidth_gbps * 1e9 / 1e3
 
-    @property
-    def total_registers(self) -> int:
-        return self.sm_count * self.registers_per_sm
-
 
 @dataclass(frozen=True)
 class CpuSpec:

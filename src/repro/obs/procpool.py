@@ -34,16 +34,6 @@ class ProcPoolStats:
             return 0.0
         return min(1.0, self.busy_s / (elapsed_s * self.jobs))
 
-    def to_registry(self, registry) -> None:
-        """Publish counters/gauges into a :class:`MetricsRegistry`."""
-        registry.gauge("procpool.jobs", "worker processes").set(self.jobs)
-        counter = registry.counter("procpool.tasks_total",
-                                   "experiment tasks executed")
-        counter.inc(len(self.tasks))
-        registry.counter("procpool.busy_ms_total",
-                         "worker wall-clock ms spent in tasks").inc(
-                             self.busy_s * 1e3)
-
     def render(self, elapsed_s: float) -> str:
         """Human-readable report (the runner prints this to stderr)."""
         lines = [

@@ -363,15 +363,17 @@ def main(argv=None) -> int:
             print(f"  {name}")
         return 0
 
-    if args.timeseries is not None and args.timeseries <= 0:
-        parser.error("--timeseries must be positive")
-    # Workload factories build their own RunContext; the env var is the
-    # channel the colocation harness attaches samplers through.
-    from repro.experiments.common import scoped_env
-    from repro.obs.timeseries import TIMESERIES_ENV
+    # Workload factories build their own RunContext; the harness
+    # attaches the sampler from the active run options.
+    from repro.core.options import RunOptions, RunOptionsError, use_options
 
     timeseries = None if args.timeseries is None else str(args.timeseries)
-    with scoped_env({TIMESERIES_ENV: timeseries}):
+    try:
+        options = RunOptions.parse(timeseries=timeseries)
+    except RunOptionsError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    with use_options(options):
         ctx = WORKLOADS[args.workload](args.seed, args.iterations)
     print(f"== run report: {args.workload} (seed={args.seed}) ==")
     print(run_summary(ctx, width=args.width))

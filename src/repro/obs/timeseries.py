@@ -11,8 +11,8 @@ that window only**.
 Design constraints (ISSUE 6):
 
 * **Off by default, zero-cost when disabled.** Nothing samples unless
-  a sampler is attached (``RunContext.attach_timeseries`` /
-  ``$REPRO_TIMESERIES``); no instrument pays any per-observation cost
+  a sampler is attached (``RunContext.attach_timeseries`` / the
+  ``timeseries`` run option); no instrument pays any per-observation cost
   either way — windows are computed from count marks at snapshot time.
 * **Bounded memory.** Windows live in a ring buffer
   (``deque(maxlen=capacity)``); a week-long simulated run keeps the
@@ -23,17 +23,11 @@ Design constraints (ISSUE 6):
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.metrics.latency import percentile_sorted
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-#: Environment switch: set to the sampling interval in simulated ms
-#: (optionally ``interval:capacity``) to attach a sampler to every
-#: run built through the colocation harness. Mirrors ``REPRO_FAULTS``.
-TIMESERIES_ENV = "REPRO_TIMESERIES"
 
 
 def _tag(name: str, label_key: Tuple[Tuple[str, str], ...]) -> str:
@@ -213,28 +207,3 @@ class TimeSeriesSampler:
                 for tag in busy)
             lines.append("".join(cells))
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Environment attach (mirrors repro.faults.maybe_attach_from_env)
-# ---------------------------------------------------------------------------
-def maybe_attach_timeseries_from_env(ctx) -> Optional[TimeSeriesSampler]:
-    """Attach a sampler if ``$REPRO_TIMESERIES`` asks for one.
-
-    The value is the interval in simulated ms, optionally followed by
-    ``:capacity``. A sampler already attached explicitly wins. The env
-    channel (not a parameter chain) keeps the knob fork-safe for the
-    experiment harness's worker processes, like ``REPRO_FAULTS``.
-    """
-    spec = os.environ.get(TIMESERIES_ENV, "").strip()
-    if not spec or getattr(ctx, "timeseries", None) is not None:
-        return getattr(ctx, "timeseries", None)
-    interval, _, capacity = spec.partition(":")
-    try:
-        interval_ms = float(interval)
-        cap = int(capacity) if capacity else 512
-    except ValueError as exc:
-        raise ValueError(
-            f"${TIMESERIES_ENV} must be 'interval_ms[:capacity]', "
-            f"got {spec!r}") from exc
-    return ctx.attach_timeseries(interval_ms=interval_ms, capacity=cap)

@@ -381,9 +381,6 @@ class Executor:
                 pool.submit_batch(
                     [self._make_task(run, pool, n) for n in ready_pool])
 
-    def _is_expensive(self, node: Node) -> bool:
-        return self._expensive.get(node.node_id, False)
-
     def _maybe_quiesce(self, run: ExecutorRun) -> None:
         if (run.aborted and run.active == 0
                 and run._quiesced is not None

@@ -25,11 +25,8 @@ from repro.serving.arrivals import (
 )
 from repro.serving.batcher import Batch, CLOSE_REASONS, RequestBatcher
 from repro.serving.config import (
-    SERVING_ENV,
     ServingConfig,
     ServingConfigError,
-    config_from_env,
-    maybe_attach_serving_from_env,
 )
 from repro.serving.frontend import (
     ServedModelSpec,
@@ -48,7 +45,6 @@ __all__ = [
     "CLOSE_REASONS",
     "RequestBatcher",
     "Request",
-    "SERVING_ENV",
     "SHED_POLICIES",
     "SLOTarget",
     "ServedModelSpec",
@@ -59,10 +55,8 @@ __all__ = [
     "ServingStats",
     "TRACE_KINDS",
     "bursty_trace",
-    "config_from_env",
     "diurnal_trace",
     "make_trace",
-    "maybe_attach_serving_from_env",
     "poisson_trace",
     "run_serving",
 ]

@@ -1,13 +1,10 @@
-"""Serving-layer configuration and the ``$REPRO_SERVING`` channel.
+"""Serving-layer configuration: overrides for served-model specs.
 
-The runner's ``--serving`` flag (and ``make_context(serving=...)``)
-thread a :class:`ServingConfig` onto the run context following the same
-fork-safe environment pattern as ``$REPRO_FAULTS`` /
-``$REPRO_TIMESERIES``: the flag sets the env var, and
-:func:`maybe_attach_serving_from_env` — called inside
-:func:`~repro.serving.frontend.run_serving`, in whichever process the
-experiment actually executes in — attaches the parsed config, so the
-overrides survive the fork into ``fanout_map`` workers.
+The runner's ``--serving`` flag (the ``serving`` field of
+:class:`~repro.core.options.RunOptions`) and
+``make_context(serving=...)`` put a :class:`ServingConfig` on the run
+context; :func:`~repro.serving.frontend.run_serving` applies it in
+whichever process the experiment executes in.
 
 The config is a set of *overrides* applied on top of each
 :class:`~repro.serving.frontend.ServedModelSpec`: arrival rate and
@@ -19,15 +16,12 @@ anything else.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.serving.admission import SHED_POLICIES
 from repro.serving.arrivals import KINDS as TRACE_KINDS
-
-#: Environment variable carrying the compact serving-override spec.
-SERVING_ENV = "REPRO_SERVING"
 
 
 class ServingConfigError(ValueError):
@@ -106,16 +100,17 @@ class ServingConfig:
 
 def _positive_float(value: str, key: str) -> float:
     out = float(value)
-    if out <= 0:
-        raise ServingConfigError(f"{key} must be positive, got {value}")
+    if not (math.isfinite(out) and out > 0):
+        raise ServingConfigError(
+            f"{key} must be positive and finite, got {value}")
     return out
 
 
 def _nonnegative_float(value: str, key: str) -> float:
     out = float(value)
-    if out < 0:
+    if not (math.isfinite(out) and out >= 0):
         raise ServingConfigError(
-            f"{key} cannot be negative, got {value}")
+            f"{key} must be non-negative and finite, got {value}")
     return out
 
 
@@ -124,23 +119,3 @@ def _positive_int(value: str, key: str) -> int:
     if out < 1:
         raise ServingConfigError(f"{key} must be >= 1, got {value}")
     return out
-
-
-def config_from_env() -> Optional[ServingConfig]:
-    """The config in ``$REPRO_SERVING``, or None when unset."""
-    spec = os.environ.get(SERVING_ENV, "").strip()
-    if not spec:
-        return None
-    return ServingConfig.parse(spec)
-
-
-def maybe_attach_serving_from_env(ctx) -> Optional[ServingConfig]:
-    """Attach the env-configured overrides to ``ctx`` (idempotent
-    no-op when ``$REPRO_SERVING`` is unset or serving is already
-    attached)."""
-    if getattr(ctx, "serving", None) is not None:
-        return ctx.serving
-    config = config_from_env()
-    if config is None:
-        return None
-    return ctx.attach_serving(config)

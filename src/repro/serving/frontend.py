@@ -27,24 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.concurrency import (
-    finalize_concurrency,
-    maybe_attach_concurrency_from_env,
-)
+from repro.analysis.concurrency import finalize_concurrency
 from repro.analysis.integration import enforce
 from repro.core.context import RunContext
 from repro.core.job import JobHandle
+from repro.core.options import current_options
 from repro.core.policy import SchedulingPolicy
-from repro.faults import maybe_attach_from_env
 from repro.faults.recovery import InjectedJobCrash
 from repro.hw.memory import OutOfMemoryError
 from repro.metrics.latency import LatencySummary
 from repro.metrics.throughput import JobStats
-from repro.obs.timeseries import maybe_attach_timeseries_from_env
 from repro.serving.admission import AdmissionQueue, Request
 from repro.serving.arrivals import ArrivalTrace, make_trace
 from repro.serving.batcher import Batch, RequestBatcher
-from repro.serving.config import maybe_attach_serving_from_env
 from repro.serving.slo import SLOTarget
 from repro.workloads.colocation import (
     DEFAULT_HORIZON_MS,
@@ -485,21 +480,15 @@ def run_serving(ctx: RunContext,
 
     Background jobs iterate until every front-end drains, mirroring
     :func:`~repro.workloads.colocation.run_colocation`'s foreground/
-    background protocol. ``$REPRO_SERVING`` overrides are applied to
-    every spec here — inside whichever process the experiment executes
-    in, so they survive the ``fanout_map`` fork like the other env
-    knobs.
+    background protocol. The active run options attach like in
+    ``run_colocation``; the context's serving overrides then apply to
+    every spec.
     """
     if not served:
         raise ValueError("no served models")
     background = list(background or [])
     policy = policy_factory(ctx)
-    maybe_attach_from_env(ctx)
-    if ctx.faults is not None:
-        ctx.faults.bind_policy(policy)
-    maybe_attach_timeseries_from_env(ctx)
-    maybe_attach_concurrency_from_env(ctx)
-    maybe_attach_serving_from_env(ctx)
+    current_options().attach(ctx, policy)
     specs = [spec.resolved(ctx.serving, ctx.rng) for spec in served]
 
     frontends = [ServingFrontEnd(policy, spec) for spec in specs]

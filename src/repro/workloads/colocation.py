@@ -11,18 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.concurrency import (
-    finalize_concurrency,
-    maybe_attach_concurrency_from_env,
-)
+from repro.analysis.concurrency import finalize_concurrency
 from repro.analysis.integration import enforce
 from repro.core.context import RunContext
-from repro.faults import maybe_attach_from_env
 from repro.core.job import JobHandle
+from repro.core.options import current_options
 from repro.core.policy import SchedulingPolicy
 from repro.metrics.latency import LatencySummary
 from repro.metrics.throughput import JobStats
-from repro.obs.timeseries import maybe_attach_timeseries_from_env
 from repro.workloads.drivers import JobDriver
 
 
@@ -84,18 +80,9 @@ def run_colocation(ctx: RunContext,
     if not specs:
         raise ValueError("no jobs to run")
     policy = policy_factory(ctx)
-    # With $REPRO_FAULTS set (runner --faults), attach the fault plan —
-    # unless the caller already attached one explicitly — and give its
-    # clock faults the policy to act through.
-    maybe_attach_from_env(ctx)
-    if ctx.faults is not None:
-        ctx.faults.bind_policy(policy)
-    # Likewise $REPRO_TIMESERIES (runner --timeseries) arms windowed
-    # metric sampling for the run.
-    maybe_attach_timeseries_from_env(ctx)
-    # And $REPRO_CONCURRENCY (runner --concurrency) attaches the
-    # happens-before/lockset/deadlock tracker.
-    maybe_attach_concurrency_from_env(ctx)
+    # The active run options (runner --faults/--timeseries/
+    # --concurrency/--serving) attach what the caller did not.
+    current_options().attach(ctx, policy)
     stop_signal = ctx.engine.event()
     drivers: List[JobDriver] = [
         JobDriver(
@@ -135,7 +122,7 @@ def run_colocation(ctx: RunContext,
         if spec.job not in ctx.jobs:
             ctx.jobs.append(spec.job)
 
-    # With $REPRO_SANITIZE set (runner --sanitize), verify the paper's
+    # Under --sanitize (the sanitize run option), verify the paper's
     # trace invariants and the session graphs; ERROR findings raise.
     label = ",".join(spec.job.name for spec in specs)
     try:

@@ -3,18 +3,21 @@
 import pytest
 
 from repro.analysis.concurrency import (
-    CONCURRENCY_ENV,
     CONCURRENCY_REPORT_ENV,
     ConcurrencyTracker,
     WaitForGraph,
-    concurrency_enabled,
     deadlock_from_runlog,
     finalize_concurrency,
     lint_concurrency_source,
-    maybe_attach_concurrency_from_env,
 )
 from repro.analysis.findings import Severity
-from repro.core import JobHandle, SwitchFlowPolicy, make_context
+from repro.core import (
+    JobHandle,
+    RunOptions,
+    SwitchFlowPolicy,
+    current_options,
+    make_context,
+)
 from repro.hw import XEON_DUAL_18C, CpuDevice, v100_server
 from repro.models import get_model
 from repro.runtime import Task, ThreadPool
@@ -371,8 +374,8 @@ class TestEndToEnd:
             record for record in ctx.runlog.records)
         assert not report.has_errors
 
-    def test_stale_tracker_ignores_other_engines(self, monkeypatch):
-        monkeypatch.delenv(CONCURRENCY_ENV, raising=False)
+    def test_stale_tracker_ignores_other_engines(self):
+        assert current_options().concurrency is None
         _engine, tracker = tracked_engine()
         # A fresh context's run fires every sync hook with objects from
         # its own engine; the stale tracker must drop all of them.
@@ -387,27 +390,26 @@ class TestEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# Harness integration: env attach, finalize, report file
+# Harness integration: run-options attach, finalize, report file
 # ---------------------------------------------------------------------------
 class TestHarnessIntegration:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(CONCURRENCY_ENV, raising=False)
-        assert not concurrency_enabled()
+    def test_disabled_by_default(self):
+        assert current_options().concurrency is None
         ctx = make_context(v100_server, 1, seed=1)
-        assert maybe_attach_concurrency_from_env(ctx) is None
+        current_options().attach(ctx, policy=None)
         assert ctx.concurrency is None
 
-    def test_env_attaches_and_selects_mode(self, monkeypatch):
-        monkeypatch.setenv(CONCURRENCY_ENV, "lockset")
+    def test_env_attaches_and_selects_mode(self):
         ctx = make_context(v100_server, 1, seed=1)
-        tracker = maybe_attach_concurrency_from_env(ctx)
-        assert tracker is ctx.concurrency
+        RunOptions.parse(concurrency="lockset").attach(ctx, policy=None)
+        tracker = ctx.concurrency
         assert tracker.mode == "lockset"
-        # An explicit attach wins; env attach is then a no-op.
-        assert maybe_attach_concurrency_from_env(ctx) is None
+        # The attached tracker wins; a second attach is a no-op.
+        RunOptions.parse(concurrency="hb").attach(ctx, policy=None)
+        assert ctx.concurrency is tracker
 
-    def test_finalize_is_idempotent_and_exports_metrics(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    def test_finalize_is_idempotent_and_exports_metrics(self):
+        assert not current_options().sanitize
         ctx = make_context(v100_server, 1, seed=1, concurrency="hb")
         report = finalize_concurrency(ctx, label="t")
         assert report is not None

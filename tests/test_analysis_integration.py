@@ -4,14 +4,18 @@ import pytest
 
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.integration import (
-    SANITIZE_ENV,
     SanitizationError,
     analyze_context,
     enforce,
-    sanitize_enabled,
 )
 from repro.baselines import MultiThreadedTF
-from repro.core import JobHandle, make_context
+from repro.core import (
+    JobHandle,
+    RunOptions,
+    current_options,
+    make_context,
+    use_options,
+)
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.sim.trace import Span
@@ -44,38 +48,41 @@ def forge_violation(ctx):
              {"context": "intruder"}))
 
 
+@pytest.fixture
+def sanitized():
+    """Run the test body under the sanitize run option (--sanitize)."""
+    with use_options(RunOptions(sanitize=True)):
+        yield
+
+
 class TestEnvGate:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        assert not sanitize_enabled()
+    """The sanitize run option gates enforcement."""
 
-    def test_zero_and_empty_mean_disabled(self, monkeypatch):
-        for value in ("", "0"):
-            monkeypatch.setenv(SANITIZE_ENV, value)
-            assert not sanitize_enabled()
+    def test_disabled_by_default(self):
+        assert not current_options().sanitize
 
-    def test_any_other_value_enables(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        assert sanitize_enabled()
+    def test_zero_and_empty_mean_disabled(self):
+        assert not RunOptions.parse().sanitize
+        assert not RunOptions.parse(sanitize=False).sanitize
+
+    def test_any_other_value_enables(self, sanitized):
+        assert current_options().sanitize
 
 
 class TestEnforce:
-    def test_noop_when_disabled(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+    def test_noop_when_disabled(self):
         ctx, policy = small_run()
         forge_violation(ctx)  # even a bad trace passes silently
         assert enforce(ctx, policy=policy) is None
 
-    def test_clean_run_returns_the_report(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
+    def test_clean_run_returns_the_report(self, sanitized):
         ctx, policy = small_run()
         report = enforce(ctx, policy=policy, label="smoke")
         assert report is not None
         assert not report.has_errors
         assert report.title == "analysis: smoke"
 
-    def test_error_finding_raises(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
+    def test_error_finding_raises(self, sanitized):
         ctx, _policy = small_run()
         forge_violation(ctx)
         # No policy given: the exclusivity invariant is enforced.
@@ -84,10 +91,9 @@ class TestEnforce:
         assert "mutual-exclusion" in str(excinfo.value)
         assert excinfo.value.report.has_errors
 
-    def test_sanitized_colocation_runs_inline(self, monkeypatch):
+    def test_sanitized_colocation_runs_inline(self, sanitized):
         # run_colocation itself calls enforce: a clean run under the
         # flag must complete without raising.
-        monkeypatch.setenv(SANITIZE_ENV, "1")
         ctx, _policy = small_run()
         assert ctx.metrics.value("analysis.runs_total") >= 1
 
@@ -128,22 +134,17 @@ class TestCli:
 
     def test_sanitize_subcommand_sets_and_restores_env(
             self, monkeypatch, capsys):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         seen = {}
 
         def fake_main(argv):
-            import os
             seen["argv"] = argv
-            seen["env"] = os.environ.get(SANITIZE_ENV)
             return 0
 
         from repro.experiments import runner
         monkeypatch.setattr(runner, "main", fake_main)
         assert analysis_main(["sanitize", "fig3", "--quick"]) == 0
-        assert seen["argv"] == ["fig3", "--quick"]
-        assert seen["env"] == "1"
-        import os
-        assert os.environ.get(SANITIZE_ENV) is None
+        assert seen["argv"] == ["fig3", "--quick", "--sanitize"]
+        assert current_options() == RunOptions()
 
 
 class _FakeResult:
@@ -174,20 +175,17 @@ class TestRunnerFlag:
         assert "mutual-exclusion" in err
 
     def test_runner_sanitize_flag_restores_env(self, monkeypatch, capsys):
-        import os
-
         from repro.experiments import runner
 
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         seen = {}
 
         def clean_experiment():
-            seen["env"] = os.environ.get(SANITIZE_ENV)
+            seen["sanitize"] = current_options().sanitize
             return _FakeResult()
 
         monkeypatch.setitem(
             runner.EXPERIMENTS, "motivation",
             {"quick": clean_experiment, "full": clean_experiment})
         assert runner.main(["motivation", "--quick", "--sanitize"]) == 0
-        assert seen["env"] == "1"
-        assert os.environ.get(SANITIZE_ENV) is None
+        assert seen["sanitize"] is True
+        assert not current_options().sanitize

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.core import make_context
+from repro.core import RunOptions, RunOptionsError, make_context
 from repro.hw import v100_server
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (
-    TIMESERIES_ENV,
-    TimeSeriesSampler,
-    maybe_attach_timeseries_from_env,
-)
+from repro.obs.timeseries import TimeSeriesSampler
 from repro.sim import Engine
 
 
@@ -197,29 +193,27 @@ class TestAttach:
         with pytest.raises(RuntimeError):
             ctx.attach_timeseries(interval_ms=5.0)
 
-    def test_env_attach(self, monkeypatch):
-        monkeypatch.setenv(TIMESERIES_ENV, "25:64")
+    # The run-options attach (runner --timeseries), formerly read from
+    # the environment.
+    def test_env_attach(self):
         ctx = make_context(v100_server, 1, seed=7)
-        sampler = maybe_attach_timeseries_from_env(ctx)
-        assert sampler is ctx.timeseries
+        RunOptions.parse(timeseries="25:64").attach(ctx, policy=None)
+        sampler = ctx.timeseries
         assert sampler.interval_ms == 25.0
         assert sampler.capacity == 64
 
-    def test_env_attach_noop_without_variable(self, monkeypatch):
-        monkeypatch.delenv(TIMESERIES_ENV, raising=False)
+    def test_env_attach_noop_without_variable(self):
         ctx = make_context(v100_server, 1, seed=7)
-        assert maybe_attach_timeseries_from_env(ctx) is None
+        RunOptions().attach(ctx, policy=None)
         assert ctx.timeseries is None
 
-    def test_env_attach_defers_to_explicit_sampler(self, monkeypatch):
-        monkeypatch.setenv(TIMESERIES_ENV, "25")
+    def test_env_attach_defers_to_explicit_sampler(self):
         ctx = make_context(v100_server, 1, seed=7)
         explicit = ctx.attach_timeseries(interval_ms=5.0)
-        assert maybe_attach_timeseries_from_env(ctx) is explicit
+        RunOptions.parse(timeseries="25").attach(ctx, policy=None)
+        assert ctx.timeseries is explicit
         assert ctx.timeseries.interval_ms == 5.0
 
-    def test_env_attach_rejects_malformed_spec(self, monkeypatch):
-        monkeypatch.setenv(TIMESERIES_ENV, "fast")
-        ctx = make_context(v100_server, 1, seed=7)
-        with pytest.raises(ValueError):
-            maybe_attach_timeseries_from_env(ctx)
+    def test_env_attach_rejects_malformed_spec(self):
+        with pytest.raises(RunOptionsError, match="--timeseries"):
+            RunOptions.parse(timeseries="fast")

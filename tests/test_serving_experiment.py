@@ -1,14 +1,14 @@
 """Serving experiment: runner wiring, env knobs, headline checks."""
 
 import json
-import os
 
 import pytest
 
 from repro.experiments import serving_colocation
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import main as runner_main
-from repro.serving import SERVING_ENV, ServingConfig
+from repro.core import RunOptions, current_options
+from repro.serving import ServingConfig
 from repro.serving.config import ServingConfigError
 
 
@@ -115,10 +115,10 @@ class TestRunnerServingCli:
         captured = capsys.readouterr()
         assert "serving" in (captured.err + captured.out).lower()
 
-    def test_serving_env_restored_after_run(self, capsys, monkeypatch):
-        monkeypatch.delenv(SERVING_ENV, raising=False)
+    def test_serving_env_restored_after_run(self, capsys):
+        # The --serving run option is active only during the run.
         assert runner_main(["serving", "--quick",
                             "--serving", "rate=20,queue=128"]) == 0
-        assert SERVING_ENV not in os.environ
+        assert current_options() == RunOptions()
         out = capsys.readouterr().out
         assert "Serving co-location" in out

@@ -1,15 +1,15 @@
 """Serving front-end: admission, batching, SLO accounting, harness."""
 
-import os
-
 import pytest
 
 from repro.core import (
     JobHandle,
     PRIORITY_HIGH,
     PRIORITY_LOW,
+    RunOptions,
     SwitchFlowPolicy,
     make_context,
+    use_options,
 )
 from repro.baselines import MultiThreadedTF, SessionTimeSlicing
 from repro.hw import v100_server
@@ -18,7 +18,6 @@ from repro.serving import (
     AdmissionQueue,
     RequestBatcher,
     Request,
-    SERVING_ENV,
     SLOTarget,
     ServedModelSpec,
     ServingConfig,
@@ -267,19 +266,15 @@ class TestRunServing:
             run_serving(ctx, MultiThreadedTF, [])
 
     def test_env_overrides_apply(self):
-        previous = os.environ.get(SERVING_ENV)
-        os.environ[SERVING_ENV] = "queue=2,shed=drop-oldest,batch=2"
-        try:
+        # The serving run option (runner --serving) reaches run_serving.
+        options = RunOptions.parse(serving="queue=2,shed=drop-oldest,batch=2")
+        with use_options(options):
             ctx = make_context(v100_server, 2, seed=0)
             result = run_serving(
                 ctx, SessionTimeSlicing,
                 [serve_spec(ctx, rate=120.0)],
                 [background_spec(ctx)])
-        finally:
-            if previous is None:
-                os.environ.pop(SERVING_ENV, None)
-            else:
-                os.environ[SERVING_ENV] = previous
+        assert ctx.serving is options.serving
         stream = result.served("serve")
         # drop-oldest evictions only happen with the override applied.
         assert stream.shed_by_reason.get("evicted", 0) > 0
