@@ -1,9 +1,10 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one of the paper's tables/figures on the
-simulated substrate and prints the resulting table. The experiments are
-deterministic, so each runs exactly once (``pedantic`` with one round);
-the benchmark timing records how long the reproduction takes to run.
+``bench_experiments.py`` regenerates each of the paper's tables/figures
+on the simulated substrate and prints the resulting table. The
+experiments are deterministic, so each runs exactly once (``pedantic``
+with one round); the benchmark timing records how long the reproduction
+takes to run.
 
 Run with::
 

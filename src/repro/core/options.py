@@ -36,6 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; both sit above core
 #: Sampler ring capacity when ``--timeseries`` names only an interval.
 DEFAULT_TIMESERIES_CAPACITY = 512
 
+#: Smallest accepted ``--timeseries`` interval (simulated ms). The
+#: sampler wakes on the absolute grid ``anchor + k * interval``, so its
+#: cost grows as 1/interval, and once ``now + interval == now`` the grid
+#: stops advancing and the run never ends. The finest interval any
+#: harness uses is 5 ms.
+MIN_TIMESERIES_INTERVAL_MS = 1.0
+
 #: ``--concurrency`` values and the tracker mode each selects.
 _CONCURRENCY_MODES = {"hb": "hb", "1": "hb", "lockset": "lockset"}
 
@@ -116,14 +123,16 @@ def _parse_timeseries(spec: str) -> Tuple[float, int]:
     try:
         interval_ms = float(interval)
         cap = int(capacity) if capacity else DEFAULT_TIMESERIES_CAPACITY
-        valid = (math.isfinite(interval_ms) and interval_ms > 0
+        valid = (math.isfinite(interval_ms)
+                 and interval_ms >= MIN_TIMESERIES_INTERVAL_MS
                  and 1 <= cap <= sys.maxsize)
     except ValueError:
         valid = False
     if not valid:
         raise RunOptionsError(
-            f"--timeseries: expected 'MS[:capacity]' with a positive "
-            f"finite interval, got {spec!r}")
+            f"--timeseries: expected 'MS[:capacity]' with a finite "
+            f"interval of at least {MIN_TIMESERIES_INTERVAL_MS:g} ms, "
+            f"got {spec!r}")
     return interval_ms, cap
 
 

@@ -1,38 +1,11 @@
 """Experiment harnesses: one module per table/figure of the paper.
 
+Import each module by name (``from repro.experiments import fig6_tail_latency``);
+``repro.experiments.runner.EXPERIMENTS`` is the table of all of them.
 See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-from repro.experiments import (  # noqa: F401  (re-exported modules)
-    ablations,
-    cluster_scale,
-    fig2_timeline,
-    fig3_idle,
-    fig6_tail_latency,
-    fig7_throughput,
-    fig8_input_reuse,
-    fig9_diff_models,
-    fig10_interleaving,
-    motivation_streams,
-    preemption_overhead,
-    serving_colocation,
-    table1_state_transfer,
-)
 from repro.experiments.common import ExperimentResult
 
-__all__ = [
-    "ExperimentResult",
-    "cluster_scale",
-    "fig10_interleaving",
-    "fig2_timeline",
-    "fig3_idle",
-    "fig6_tail_latency",
-    "fig7_throughput",
-    "fig8_input_reuse",
-    "fig9_diff_models",
-    "motivation_streams",
-    "preemption_overhead",
-    "serving_colocation",
-    "table1_state_transfer",
-]
+__all__ = ["ExperimentResult"]

@@ -16,7 +16,7 @@ do the sweeps on the simulated substrate:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List
+from typing import List, Sequence
 
 from repro.baselines import MultiThreadedTF
 from repro.core import (
@@ -173,15 +173,64 @@ def context_switch_sensitivity(
     return result
 
 
-def run(seed: int = 0) -> ExperimentResult:
-    """All ablations, concatenated."""
-    parts = [temporary_pool_tradeoff(seed=seed),
-             cpu_fallback_ablation(seed=seed),
-             context_switch_sensitivity(seed=seed)]
+#: Study name -> harness, in the order ``run`` concatenates them.
+STUDIES = {
+    "temporary_pool": temporary_pool_tradeoff,
+    "cpu_fallback": cpu_fallback_ablation,
+    "context_switch": context_switch_sensitivity,
+}
+
+
+def run(seed: int = 0,
+        studies: Sequence[str] = tuple(STUDIES)) -> ExperimentResult:
+    """The selected ablations (default: all), concatenated."""
     combined = ExperimentResult(
         name="ablations", title="SwitchFlow design ablations")
-    for part in parts:
+    for study in studies:
+        part = STUDIES[study](seed=seed)
         combined.rows.extend(
             [{"study": part.name, **row} for row in part.rows])
         combined.notes.extend(part.notes)
     return combined
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The tradeoff each ablation exposes, for the studies that ran."""
+    def column(study: str, key: str, value: str) -> List[float]:
+        rows = sorted((row for row in result.rows if row["study"] == study),
+                      key=lambda row: row[key])
+        return [row[value] for row in rows]
+
+    checks = []
+    # More temporary workers: victim speeds up, high-priority job pays.
+    victims = column("ablation-temp-pool", "temporary_workers",
+                     "victim_imgs_per_s")
+    highs = column("ablation-temp-pool", "temporary_workers",
+                   "high_imgs_per_s")
+    if victims:
+        checks.append((victims == sorted(victims) and
+                       highs == sorted(highs, reverse=True),
+                       "more temporary workers speed the CPU victim up "
+                       "and slow the GPU job down"))
+    by_mode = {row["cpu_fallback"]: row for row in result.rows
+               if row["study"] == "ablation-cpu-fallback"}
+    if {"enabled", "disabled"} <= set(by_mode):
+        enabled, disabled = by_mode["enabled"], by_mode["disabled"]
+        checks.append((enabled["victim_device"] != "Tesla V100"
+                       and disabled["victim_device"] == "Tesla V100",
+                       f"the victim leaves the GPU only with the CPU "
+                       f"fallback (-> {enabled['victim_device']})"))
+        # Without the fallback the high-priority job keeps being
+        # contended.
+        checks.append((enabled["high_imgs_per_s"]
+                       > disabled["high_imgs_per_s"],
+                       f"the fallback speeds the high-priority job up "
+                       f"({enabled['high_imgs_per_s']:.0f} > "
+                       f"{disabled['high_imgs_per_s']:.0f} img/s)"))
+    throughputs = column("ablation-context-switch", "context_switch_ms",
+                         "per_model_imgs_per_s")
+    if throughputs:
+        checks.append((throughputs == sorted(throughputs, reverse=True),
+                       "co-run throughput falls as the context-switch "
+                       "cost grows"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

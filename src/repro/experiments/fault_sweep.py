@@ -178,3 +178,20 @@ def run(requests: int = 30, rates: Sequence[float] = FULL_RATES,
                       fh, indent=2)
             fh.write("\n")
     return result
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The sweep's own control: rate 0 injects nothing, rate > 0 does."""
+    control = [row for row in result.rows if row["rate"] == 0]
+    faulted = [row for row in result.rows if row["rate"] > 0]
+    checks = []
+    if control:
+        checks.append((all(row["faults_injected"] == 0 for row in control),
+                       f"all {len(control)} rate-0 cells inject no "
+                       f"faults"))
+    if faulted:
+        injecting = sum(1 for row in faulted if row["faults_injected"] > 0)
+        checks.append((injecting == len(faulted),
+                       f"every rate>0 cell injects faults ({injecting} of "
+                       f"{len(faulted)})"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

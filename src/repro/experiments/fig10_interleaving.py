@@ -77,3 +77,23 @@ def run(iterations: int = 8, seed: int = 0,
         "Paper shape: consistent ~30% gains among inference jobs; "
         "smaller gains (<=20%) against a heavy training co-runner.")
     return result
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The qualitative assertions the paper makes about Figure 10.
+
+    Interleaving never loses, and wins clearly wherever the co-runner is
+    GPU-bound. Cells where BOTH jobs are CPU-bound compress toward 0 —
+    there is no idle GPU time to reclaim.
+    """
+    worst = min(row["improvement_pct"] for row in result.rows)
+    checks = [(worst > -2.0,
+               f"interleaving never loses (worst {worst:.1f}% > -2%)")]
+    for panel_key in ("NASNetLarge", "training"):
+        gains = [row["improvement_pct"] for row in result.rows
+                 if panel_key in row["panel"]]
+        if gains:
+            checks.append((max(gains) > 15.0,
+                           f"best gain vs the {panel_key} co-runner "
+                           f"{max(gains):.1f}% > 15%"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

@@ -9,6 +9,8 @@ fraction of GPU busy time, and the ASCII timeline itself.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.baselines import MultiThreadedTF
 from repro.core import JobHandle, make_context
 from repro.experiments.common import ExperimentResult, solo_throughput
@@ -88,3 +90,21 @@ def render_timeline(window_ms: float = 400.0, batch: int = 16,
             meta={**span.meta, "glyph": glyphs.get(context, "#")})
         spans.append(relabeled)
     return render_ascii_timeline(spans, width=width, start=start, end=end)
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The qualitative assertions the paper makes about Figure 2."""
+    solo = result.rows[0]["images_per_s"]
+    corun = result.rows[1:]
+    rates = ", ".join(f"{row['images_per_s']:.0f}" for row in corun)
+    serialized = min(row["serialization_fraction"] for row in corun)
+    checks = [
+        (all(0.35 * solo < row["images_per_s"] < 0.65 * solo
+             for row in corun),
+         f"co-run {rates} img/s within 0.35-0.65x solo {solo:.0f} "
+         f"(paper: 226 -> 116)"),
+        (serialized > 0.85,
+         f"serialization fraction {serialized:.2f} > 0.85 (paper: "
+         f"significant serialization)"),
+    ]
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

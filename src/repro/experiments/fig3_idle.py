@@ -97,33 +97,27 @@ def run(iterations: int = 10, warmup: int = 2, seed: int = 0,
 
 def headline_checks(result: ExperimentResult) -> List[str]:
     """The qualitative assertions the paper makes about this figure."""
-    def idle(gpu: str, mode: str, model: str) -> float:
-        for row in result.rows:
-            if (row["gpu"] == gpu and row["mode"] == mode
-                    and row["model"] == model):
-                return row["gpu_idle_pct"]
-        raise KeyError((gpu, mode, model))
-
+    idle = {(row["gpu"], row["mode"], row["model"]): row["gpu_idle_pct"]
+            for row in result.rows}
+    nasnet = idle.get(("V100", "inference", "NASNetMobile"))
+    v100_train = idle.get(("V100", "training", "ResNet50"))
+    v100 = idle.get(("V100", "inference", "ResNet50"))
+    t2080 = idle.get(("RTX 2080 Ti", "inference", "ResNet50"))
+    tx2 = idle.get(("Jetson TX2", "inference", "ResNet50"))
     checks = []
-    nasnet_v100 = idle("V100", "inference", "NASNetMobile")
-    checks.append(
-        f"NASNetMobile V100 inference idle {nasnet_v100:.0f}% "
-        f"(paper: >90%): {'OK' if nasnet_v100 > 80 else 'MISS'}")
-    resnet_train = idle("V100", "training", "ResNet50")
-    resnet_infer = idle("V100", "inference", "ResNet50")
-    checks.append(
-        f"ResNet50 V100 train idle {resnet_train:.0f}% < infer idle "
-        f"{resnet_infer:.0f}%: "
-        f"{'OK' if resnet_train < resnet_infer else 'MISS'}")
-    v100 = idle("V100", "inference", "ResNet50")
-    t2080 = idle("RTX 2080 Ti", "inference", "ResNet50")
-    checks.append(
-        f"faster GPU idles more (V100 {v100:.0f}% >= 2080Ti "
-        f"{t2080:.0f}%): {'OK' if v100 >= t2080 - 1 else 'MISS'}")
-    tx2 = idle("Jetson TX2", "inference", "ResNet50")
-    tx2_v100 = idle("V100", "inference", "ResNet50")
-    checks.append(
-        f"TX2 GPU-bound (ResNet50 inference idle {tx2:.0f}% well below "
-        f"V100's {tx2_v100:.0f}%): "
-        f"{'OK' if tx2 < tx2_v100 - 15 else 'MISS'}")
-    return checks
+    if nasnet is not None:
+        checks.append((nasnet > 80, f"NASNetMobile V100 inference idle "
+                                    f"{nasnet:.0f}% (paper: >90%)"))
+    if v100 is not None and v100_train is not None:
+        checks.append((v100_train < v100,
+                       f"ResNet50 V100 train idle {v100_train:.0f}% < "
+                       f"infer idle {v100:.0f}%"))
+    if v100 is not None and t2080 is not None:
+        checks.append((v100 >= t2080 - 1,
+                       f"faster GPU idles more (V100 {v100:.0f}% >= "
+                       f"2080Ti {t2080:.0f}%)"))
+    if v100 is not None and tx2 is not None:
+        checks.append((tx2 < v100 - 15,
+                       f"TX2 GPU-bound (ResNet50 inference idle "
+                       f"{tx2:.0f}% well below V100's {v100:.0f}%)"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

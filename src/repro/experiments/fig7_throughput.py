@@ -172,3 +172,44 @@ def mps_default_mode_crashes(seed: int = 0) -> List[str]:
     results = _corun(ctx, lambda c: MPSPolicy(c, reserve="default"),
                      first, second, iterations=3)
     return results.crashed_jobs()
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The qualitative assertions the paper makes about Figure 7."""
+    def ratio(row) -> float:
+        return row["model_imgs_per_s"] / row["model_solo_imgs_per_s"]
+
+    tf_rows = [row for row in result.rows
+               if row["panel"].startswith(("(a)", "(b)"))]
+    mps_rows = [row for row in result.rows if "MPS" in row["panel"]]
+    sf_rows = [row for row in result.rows if "SwitchFlow" in row["panel"]]
+    survivors = [row for row in tf_rows if row["oom"] == "none"]
+    sf_ratios = [ratio(row) for row in sf_rows]
+    near_solo = sum(1 for value in sf_ratios if value >= 0.85)
+    checks = [
+        # (a)(b): the 11 GB GPUs see OOM crashes for heavy pairs, and
+        # surviving pairs suffer mutual slowdown.
+        (any(row["oom"] != "none" for row in tf_rows),
+         "(a)(b) threaded TF on 11 GB GPUs crashes some pairs with OOM"),
+        (bool(survivors) and all(ratio(row) < 0.85 for row in survivors),
+         f"(a)(b) all {len(survivors)} surviving TF pairs run < 0.85x "
+         f"solo"),
+        # (c): MPS on the 32 GB V100 completes but is slow.
+        (all(row["oom"] == "none" and ratio(row) < 0.9 for row in mps_rows),
+         "(c) MPS on the 32 GB V100 completes every pair at < 0.9x solo"),
+        # (d)-(f): SwitchFlow never crashes and preempts.
+        (all(row["oom"] == "none" and row["preemptions"] >= 1
+             for row in sf_rows),
+         "(d)-(f) SwitchFlow never crashes and preempts in every cell"),
+        # The paper itself observes a residual loss ("the low priority
+        # job occupied a few worker threads") — largest when the victim
+        # lands on the CPU (panel (d)), where its MKL executor and
+        # pipeline keep burning host cores.
+        (all(value > 0.55 for value in sf_ratios),
+         f"(d)-(f) high-priority job keeps > 0.55x solo (min "
+         f"{min(sf_ratios):.2f}x)"),
+        (near_solo >= len(sf_ratios) // 2,
+         f"(d)-(f) {near_solo} of {len(sf_ratios)} cells at >= 0.85x "
+         f"solo (at least half)"),
+    ]
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

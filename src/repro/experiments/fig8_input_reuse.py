@@ -10,7 +10,7 @@ lower gains on the TX2 where the GPU itself is the bottleneck.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import SessionTimeSlicing
 from repro.core import JobHandle, make_context
@@ -36,6 +36,8 @@ CONFIGS = [
 DEFAULT_MODELS = ["ResNet50", "VGG16", "DenseNet121", "InceptionV3",
                   "InceptionResNetV2", "MobileNet", "MobileNetV2",
                   "NASNetMobile"]
+COMPUTE_BOUND_MODELS = ["ResNet50", "VGG16", "DenseNet121", "InceptionV3",
+                        "InceptionResNetV2"]
 
 
 def timeslicing_pair_throughput(machine_builder, machine_args,
@@ -96,3 +98,39 @@ def run(iterations: int = 8, seed: int = 0,
         "Paper shape: large gains for inference (up to ~65%), marginal "
         "for training, lower on the GPU-bound TX2.")
     return result
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The qualitative assertions the paper makes about Figure 8."""
+    gains: Dict[str, Dict[str, float]] = {}
+    for row in result.rows:
+        gains.setdefault(row["panel"][:3], {})[row["model"]] = \
+            row["improvement_pct"]
+    train, infer = gains.get("(b)", {}), gains.get("(d)", {})
+    # For compute-bound V100 models, training gains are marginal while
+    # inference gains are large (paper: "marginal" vs "up to 65%").
+    heavy = [m for m in COMPUTE_BOUND_MODELS if m in train and m in infer]
+    checks = []
+    if heavy:
+        checks += [
+            (all(train[m] < 15.0 for m in heavy),
+             f"compute-bound V100 training gains < 15% (max "
+             f"{max(train[m] for m in heavy):.1f}%)"),
+            (all(infer[m] > train[m] for m in heavy),
+             "compute-bound V100 inference gains exceed training gains"),
+            (max(infer[m] for m in heavy) > 40.0,
+             f"best compute-bound V100 inference gain "
+             f"{max(infer[m] for m in heavy):.1f}% > 40%"),
+        ]
+    # On the V100, complex models gain more than lightweight ones; on
+    # the GPU-bound TX2, lightweight models gain more.
+    for panel, more, less in (("(d)", "ResNet50", "MobileNetV2"),
+                              ("(e)", "MobileNetV2", "ResNet50")):
+        gain = gains.get(panel, {})
+        if more in gain and less in gain:
+            checks.append((gain[more] > gain[less],
+                           f"panel {panel} inference: {more} "
+                           f"{gain[more]:.1f}% > {less} {gain[less]:.1f}%"))
+    checks.append((all(row["improvement_pct"] > 0 for row in result.rows),
+                   "input reuse improves every cell"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

@@ -88,3 +88,32 @@ def run(iterations: int = 8, seed: int = 0,
         "Paper shape: larger batch => higher gain; diminishing per-model "
         "gain beyond 3 co-run models.")
     return result
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The qualitative assertions the paper makes about Figure 9."""
+    by_mix = {}
+    for row in result.rows:
+        if row["panel"] == "(a) pairings":
+            by_mix.setdefault(row["models"], {})[row["batch"]] = \
+                row["improvement_pct"]
+    by_count = {row["n_models"]: row["improvement_pct"]
+                for row in result.rows if row["panel"] == "(b) model count"}
+    checks = []
+    # Larger batches increase the gain (CPU becomes the bottleneck).
+    trends = [batches for batches in by_mix.values()
+              if {32, 128} <= set(batches)]
+    if trends:
+        checks.append((all(b[128] >= b[32] * 0.8 for b in trends),
+                       "BS=128 gain >= 0.8x BS=32 gain for every pairing"))
+    # Marginal gain per added model does not accelerate beyond two
+    # (the paper's diminishing-returns recommendation of <=3 models).
+    if {2, 3, 4} <= set(by_count):
+        marginal_3 = by_count[3] - by_count[2]
+        marginal_4 = by_count[4] - by_count[3]
+        checks.append((marginal_4 < 1.2 * marginal_3,
+                       f"4th model adds {marginal_4:.1f} pts < 1.2x the "
+                       f"3rd's {marginal_3:.1f} pts"))
+    checks.append((all(row["improvement_pct"] > 0 for row in result.rows),
+                   "input reuse improves every cell"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

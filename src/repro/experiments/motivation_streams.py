@@ -126,3 +126,22 @@ def run(seed: int = 0) -> ExperimentResult:
     combined.rows = occupancy.rows + streams.rows
     combined.notes = occupancy.notes + streams.notes
     return combined
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The qualitative assertions the paper makes about Section 2.2."""
+    blocked = sum(1 for row in result.rows
+                  if row.get("can_corun_with_twin") == "no")
+    checks = [(blocked == 10,
+               f"{blocked} of {len(CUDNN_KERNEL_SET)} conv kernels cannot "
+               f"co-run with a twin (paper: 10 of 13)")]
+    completion = {row["configuration"]: row["completion_ms"]
+                  for row in result.rows if "configuration" in row}
+    if {"sequential", "two streams"} <= set(completion):
+        sequential = completion["sequential"]
+        concurrent = completion["two streams"]
+        checks.append((
+            concurrent >= 0.95 * sequential,
+            f"two streams {concurrent:.2f} ms >= 0.95x sequential "
+            f"{sequential:.2f} ms (paper: almost no benefit)"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

@@ -118,3 +118,31 @@ def run(seed: int = 0,
         f"GTX 1080 Ti reference: {GTX_1080_TI.memory_bytes / 2**30:.0f} "
         "GiB device memory.")
     return result
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """The qualitative assertions the paper makes in Section 5.2.3."""
+    latency = {row["victim"]: row["preemption_latency_ms"]
+               for row in result.rows
+               if row["preemption_latency_ms"] is not None}
+    state = max(row["state_fraction_of_11gb_pct"] for row in result.rows)
+    checks = [
+        (bool(latency), f"{len(latency)} of {len(result.rows)} victims "
+                        f"preempted (at least one)"),
+        (state <= 10.0, f"retained weights <= 10% of an 11 GB device "
+                        f"(max {state:.1f}%)"),
+    ]
+    if latency:
+        # Worst-case preemption latency is one outstanding kernel: a
+        # few tens of milliseconds.
+        checks.append((all(0.5 < ms < 120.0 for ms in latency.values()),
+                       f"preemption latency within 0.5-120 ms "
+                       f"({min(latency.values()):.1f}-"
+                       f"{max(latency.values()):.1f} ms)"))
+    # Heavier models take longer to drain (bigger kernels in flight).
+    if {"VGG19", "ResNet50"} <= set(latency):
+        checks.append((latency["VGG19"] > latency["ResNet50"],
+                       f"VGG19 drains slower than ResNet50 "
+                       f"({latency['VGG19']:.1f} > "
+                       f"{latency['ResNet50']:.1f} ms)"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass
+from types import ModuleType
+from typing import Any, Dict, Tuple
 
 from repro.experiments import (
     ablations,
@@ -47,107 +49,84 @@ from repro.experiments import (
 )
 from repro.analysis.integration import SanitizationError
 from repro.core.options import RunOptions, RunOptionsError, use_options
-from repro.experiments.common import fanout_map, jobs_for_block
+from repro.experiments.common import ExperimentResult, fanout_map, jobs_for_block
 from repro.obs.procpool import ProcPoolStats
 
-# name -> (full-run callable, quick-run callable)
-EXPERIMENTS: Dict[str, Dict[str, Callable]] = {
-    "motivation": {
-        "full": lambda: motivation_streams.run(),
-        "quick": lambda: motivation_streams.run(),
-    },
-    "fig2": {
-        "full": lambda: fig2_timeline.run(iterations=20),
-        "quick": lambda: fig2_timeline.run(iterations=6),
-    },
-    "fig3": {
-        "full": lambda: fig3_idle.run(iterations=20),
-        "quick": lambda: fig3_idle.run(
-            iterations=12, models=["ResNet50", "MobileNetV2",
-                                   "NASNetMobile"]),
-    },
-    "fig6": {
-        "full": lambda: fig6_tail_latency.run(requests=60),
-        "quick": lambda: fig6_tail_latency.run(
-            requests=25,
-            panels=[("VGG16", ["ResNet50", "MobileNetV2"]),
-                    ("NMT-panel", ["VGG16"])]),
-    },
-    "fig7": {
-        "full": lambda: fig7_throughput.run(iterations=10),
-        "quick": lambda: fig7_throughput.run(
-            iterations=5, partners=["ResNet50", "VGG16"]),
-    },
-    "fig8": {
-        "full": lambda: fig8_input_reuse.run(iterations=10),
-        "quick": lambda: fig8_input_reuse.run(
-            iterations=5, models=["ResNet50", "MobileNetV2"]),
-    },
-    "fig9": {
-        "full": lambda: fig9_diff_models.run(iterations=10),
-        "quick": lambda: fig9_diff_models.run(
-            iterations=5, batches=[128]),
-    },
-    "fig10": {
-        "full": lambda: fig10_interleaving.run(iterations=10),
-        "quick": lambda: fig10_interleaving.run(
-            iterations=5, models=["ResNet50", "MobileNetV2"]),
-    },
-    "table1": {
-        "full": lambda: table1_state_transfer.run(),
-        "quick": lambda: table1_state_transfer.run(simulate=False),
-    },
-    "preemption": {
-        "full": lambda: preemption_overhead.run(),
-        "quick": lambda: preemption_overhead.run(
-            models=["ResNet50", "VGG19"]),
-    },
-    "ablations": {
-        "full": lambda: ablations.run(),
-        "quick": lambda: ablations.context_switch_sensitivity(),
-    },
-    "fault_sweep": {
-        "full": lambda: fault_sweep.run(),
-        "quick": lambda: fault_sweep.run(
-            requests=8, rates=fault_sweep.QUICK_RATES),
-    },
-    "cluster_scale": {
-        "full": lambda: cluster_scale.run(),
-        "quick": lambda: cluster_scale.run(
-            requests=8, nodes=cluster_scale.QUICK_NODES),
-    },
-    "serving": {
-        "full": lambda: serving_colocation.run(),
-        "quick": lambda: serving_colocation.run(
-            duration_ms=serving_colocation.QUICK_DURATION_MS,
-            rates=serving_colocation.QUICK_RATES),
-    },
-}
 
-ExperimentSpec = Tuple[str, str, bool]   # (name, mode, render timeline)
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One experiment: ``module.run(**full)`` or ``module.run(**quick)``.
+
+    Every module also exports ``headline_checks(result)``, the paper's
+    qualitative claims as ``PASS:``/``FAIL:``/``WARN:`` lines.
+    """
+
+    name: str
+    module: ModuleType
+    full: Dict[str, Any]
+    quick: Dict[str, Any]
+
+    def run(self, mode: str) -> ExperimentResult:
+        return self.module.run(**getattr(self, mode))
 
 
-def _render_experiment(spec: ExperimentSpec) -> Tuple[str, str, float]:
+# The one experiment table: the runner, bench_experiments.py and CI all
+# iterate it, in this order.
+EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
+    ExperimentSpec("motivation", motivation_streams, {}, {}),
+    ExperimentSpec("fig2", fig2_timeline,
+                   {"iterations": 20}, {"iterations": 6}),
+    ExperimentSpec("fig3", fig3_idle, {"iterations": 20}, {
+        "iterations": 12,
+        "models": ["ResNet50", "MobileNetV2", "NASNetMobile"]}),
+    ExperimentSpec("fig6", fig6_tail_latency, {"requests": 60}, {
+        "requests": 25,
+        "panels": [("VGG16", ["ResNet50", "MobileNetV2"]),
+                   ("NMT-panel", ["VGG16"])]}),
+    ExperimentSpec("fig7", fig7_throughput, {"iterations": 10}, {
+        "iterations": 5, "partners": ["ResNet50", "VGG16"]}),
+    ExperimentSpec("fig8", fig8_input_reuse, {"iterations": 10}, {
+        "iterations": 5, "models": ["ResNet50", "MobileNetV2"]}),
+    ExperimentSpec("fig9", fig9_diff_models, {"iterations": 10}, {
+        "iterations": 5, "batches": [128]}),
+    ExperimentSpec("fig10", fig10_interleaving, {"iterations": 10}, {
+        "iterations": 5, "models": ["ResNet50", "MobileNetV2"]}),
+    ExperimentSpec("table1", table1_state_transfer,
+                   {}, {"simulate": False}),
+    ExperimentSpec("preemption", preemption_overhead,
+                   {}, {"models": ["ResNet50", "VGG19"]}),
+    ExperimentSpec("ablations", ablations,
+                   {}, {"studies": ["context_switch"]}),
+    ExperimentSpec("fault_sweep", fault_sweep, {}, {
+        "requests": 8, "rates": fault_sweep.QUICK_RATES}),
+    ExperimentSpec("cluster_scale", cluster_scale, {}, {
+        "requests": 8, "nodes": cluster_scale.QUICK_NODES}),
+    ExperimentSpec("serving", serving_colocation, {}, {
+        "duration_ms": serving_colocation.QUICK_DURATION_MS,
+        "rates": serving_colocation.QUICK_RATES}),
+)}
+
+
+RenderJob = Tuple[str, str, bool]   # (name, mode, render timeline)
+
+
+def _render_experiment(job: RenderJob) -> Tuple[str, str, float]:
     """Run one experiment and render its complete stdout block.
 
     Module-level and picklable-in/picklable-out so it can execute either
     in-process (sequential path) or inside a pool worker — both paths
     produce the same bytes. Returns (name, text, wall_seconds).
     """
-    name, mode, timeline = spec
+    name, mode, timeline = job
+    spec = EXPERIMENTS[name]
     started = time.perf_counter()  # noqa: repro-analysis (wall-time stats)
-    result = EXPERIMENTS[name][mode]()
+    result = spec.run(mode)
     blocks = [result.to_table()]
     if name == "fig2" and timeline:
         blocks.append(fig2_timeline.render_timeline())
-    if name == "fig3":
-        blocks.append("\n".join(
-            f"check: {check}"
-            for check in fig3_idle.headline_checks(result)))
-    if name == "serving":
-        blocks.append("\n".join(
-            f"check: {check}"
-            for check in serving_colocation.headline_checks(result)))
+    checks = spec.module.headline_checks(result)
+    if checks:
+        blocks.append("\n".join(f"check: {check}" for check in checks))
     text = "".join(block + "\n\n" for block in blocks)
     elapsed = time.perf_counter() - started  # noqa: repro-analysis (wall-time stats)
     return name, text, elapsed
@@ -233,7 +212,7 @@ def main(argv=None) -> int:
 
     jobs = args.jobs
     mode = "quick" if args.quick else "full"
-    specs = [(name, mode, args.timeline) for name in valid]
+    runs = [(name, mode, args.timeline) for name in valid]
 
     # A single experiment cannot fan across experiments — hand the
     # workers to its internal config fan-out instead.
@@ -241,7 +220,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()  # noqa: repro-analysis (wall-time stats)
     try:
         with use_options(options), jobs_for_block(handoff):
-            outputs = fanout_map(_render_experiment, specs,
+            outputs = fanout_map(_render_experiment, runs,
                                  jobs=jobs if len(valid) > 1 else 1)
     except SanitizationError as exc:
         print(f"sanitizer: invariant violation\n{exc}", file=sys.stderr)

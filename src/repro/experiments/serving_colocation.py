@@ -165,21 +165,19 @@ def headline_checks(result: ExperimentResult) -> List[str]:
                 return row
         return None
 
-    checks: List[str] = []
     switchflow = cell("SwitchFlow")
     timeslicing = cell("TimeSlicing")
     if switchflow is None or timeslicing is None:
-        return [f"no cells at the {DEFAULT_RATE:g} rps operating "
-                f"point: MISS"]
-    checks.append(
-        f"SwitchFlow p99 {switchflow['p99_ms']:.0f}ms < TimeSlicing "
-        f"p99 {timeslicing['p99_ms']:.0f}ms at {DEFAULT_RATE:g} rps: "
-        f"{'OK' if switchflow['p99_ms'] < timeslicing['p99_ms'] else 'MISS'}")
-    checks.append(
-        f"SwitchFlow goodput {switchflow['goodput_rps']:.1f} rps >= "
-        f"TimeSlicing {timeslicing['goodput_rps']:.1f} rps: "
-        f"{'OK' if switchflow['goodput_rps'] >= timeslicing['goodput_rps'] else 'MISS'}")
-    checks.append(
-        f"SwitchFlow meets the SLO at {DEFAULT_RATE:g} rps: "
-        f"{'OK' if switchflow['slo'] == 'met' else 'MISS'}")
-    return checks
+        return [f"FAIL: no cells at the {DEFAULT_RATE:g} rps operating "
+                f"point"]
+    checks = [
+        (switchflow["p99_ms"] < timeslicing["p99_ms"],
+         f"SwitchFlow p99 {switchflow['p99_ms']:.0f}ms < TimeSlicing "
+         f"p99 {timeslicing['p99_ms']:.0f}ms at {DEFAULT_RATE:g} rps"),
+        (switchflow["goodput_rps"] >= timeslicing["goodput_rps"],
+         f"SwitchFlow goodput {switchflow['goodput_rps']:.1f} rps >= "
+         f"TimeSlicing {timeslicing['goodput_rps']:.1f} rps"),
+        (switchflow["slo"] == "met",
+         f"SwitchFlow meets the SLO at {DEFAULT_RATE:g} rps"),
+    ]
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

@@ -87,3 +87,19 @@ def run(models: Optional[List[str]] = None,
         "stateful = weights + momentum = 2 x fp32 parameter bytes; "
         "transfer = latency + per-tensor setup + payload/10.5 GiB/s.")
     return result
+
+
+def headline_checks(result: ExperimentResult) -> List[str]:
+    """Table 1's sizes and transfer times, within calibration tolerance."""
+    checks = []
+    rows = [row for row in result.rows if row["paper_mib"] is not None]
+    for measured, paper, tolerance, what in (
+            ("stateful_mib", "paper_mib", 0.06, "stateful sizes"),
+            ("transfer_ms", "paper_ms", 0.30, "transfer times")):
+        ok = all(abs(row[measured] - row[paper]) <= tolerance * row[paper]
+                 for row in rows)
+        worst = max((abs(row[measured] - row[paper]) / row[paper]
+                     for row in rows), default=0.0)
+        checks.append((ok, f"{what} within {100 * tolerance:.0f}% of the "
+                           f"paper (worst {100 * worst:.1f}%)"))
+    return [f"{'PASS' if ok else 'FAIL'}: {claim}" for ok, claim in checks]

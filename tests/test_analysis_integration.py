@@ -1,5 +1,7 @@
 """Tests for the runner/CLI wiring of the analysis passes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.cli import main as analysis_main
@@ -152,6 +154,14 @@ class _FakeResult:
         return "fake table"
 
 
+def _fake_spec(run):
+    """A runner table entry whose module is just ``run``."""
+    from repro.experiments.runner import ExperimentSpec
+
+    module = SimpleNamespace(run=run, headline_checks=lambda result: [])
+    return ExperimentSpec("motivation", module, {}, {})
+
+
 class TestRunnerFlag:
     def test_runner_sanitize_flag_fails_on_violation(
             self, monkeypatch, capsys):
@@ -165,9 +175,8 @@ class TestRunnerFlag:
             enforce(ctx, label="forged")
             return _FakeResult()
 
-        monkeypatch.setitem(
-            runner.EXPERIMENTS, "motivation",
-            {"quick": bad_experiment, "full": bad_experiment})
+        monkeypatch.setitem(runner.EXPERIMENTS, "motivation",
+                            _fake_spec(bad_experiment))
         code = runner.main(["motivation", "--quick", "--sanitize"])
         assert code == 1
         err = capsys.readouterr().err
@@ -183,9 +192,8 @@ class TestRunnerFlag:
             seen["sanitize"] = current_options().sanitize
             return _FakeResult()
 
-        monkeypatch.setitem(
-            runner.EXPERIMENTS, "motivation",
-            {"quick": clean_experiment, "full": clean_experiment})
+        monkeypatch.setitem(runner.EXPERIMENTS, "motivation",
+                            _fake_spec(clean_experiment))
         assert runner.main(["motivation", "--quick", "--sanitize"]) == 0
         assert seen["sanitize"] is True
         assert not current_options().sanitize

@@ -2,8 +2,11 @@
 
 These run small instances of each table/figure reproduction and assert
 the paper's *qualitative* claims hold (who wins, in which direction).
-Full-scale runs live in benchmarks/.
+Full-scale runs of the runner's table live in
+benchmarks/bench_experiments.py.
 """
+
+import inspect
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.experiments import (
     fig2_timeline,
     fig3_idle,
     fig6_tail_latency,
+    fig7_throughput,
     fig8_input_reuse,
     fig10_interleaving,
     motivation_streams,
@@ -18,7 +22,7 @@ from repro.experiments import (
     table1_state_transfer,
 )
 from repro.experiments.common import ExperimentResult
-from repro.experiments.runner import main as runner_main
+from repro.experiments.runner import EXPERIMENTS, main as runner_main
 
 
 class TestCommon:
@@ -87,8 +91,9 @@ class TestFig3:
 
     def test_all_headline_checks_pass(self, result):
         checks = fig3_idle.headline_checks(result)
-        misses = [check for check in checks if "MISS" in check]
-        assert not misses, misses
+        assert len(checks) == 4
+        failures = [check for check in checks if check.startswith("FAIL")]
+        assert not failures, failures
 
     def test_idle_fractions_are_valid_percentages(self, result):
         for row in result.rows:
@@ -105,6 +110,12 @@ class TestFig6:
         nmt_row = [r for r in result.rows
                    if r["inference_job"] == "NMT"][0]
         assert nmt_row["improvement_x"] > 8.0   # paper: up to 19.05x
+
+
+class TestFig7:
+    def test_mps_default_mode_crashes_on_11gb(self):
+        # Paper: 'all models crash under MPS on 11 GB GPUs'.
+        assert fig7_throughput.mps_default_mode_crashes()
 
 
 class TestFig8:
@@ -136,6 +147,25 @@ class TestPreemptionOverhead:
         row = result.rows[0]
         assert 1.0 < row["preemption_latency_ms"] < 120.0
         assert row["state_fraction_of_11gb_pct"] < 10.0
+
+
+class TestExperimentTable:
+    """The runner's table, checked without running any experiment."""
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_kwargs_bind_to_run(self, name):
+        spec = EXPERIMENTS[name]
+        assert spec.name == name
+        signature = inspect.signature(spec.module.run)
+        signature.bind(**spec.full)
+        signature.bind(**spec.quick)
+        assert callable(spec.module.headline_checks)
+
+    def test_list_prints_the_table_in_order(self, capsys):
+        assert runner_main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "available experiments:"
+        assert [line.strip() for line in lines[1:]] == list(EXPERIMENTS)
 
 
 class TestRunnerCli:

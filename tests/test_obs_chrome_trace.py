@@ -9,6 +9,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.report import WORKLOADS
 from repro.sim import Span, Tracer
 
 
@@ -91,6 +92,19 @@ class TestExport:
         write_chrome_trace(tracer, path)
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
+
+    def test_fig2_chrome_trace_export(self):
+        """The Figure 2 run exports to loadable chrome://tracing JSON."""
+        ctx = WORKLOADS["fig2"](0, 8)
+        payload = json.loads(json.dumps(tracer_to_chrome_trace(ctx.tracer)))
+        assert validate_chrome_trace(payload) == []
+        process_rows = {event["args"]["name"]
+                        for event in payload["traceEvents"]
+                        if event.get("name") == "process_name"}
+        # One labelled process row per device lane that recorded spans.
+        for gpu in ctx.machine.gpus:
+            assert gpu.lane in process_rows
+        assert ctx.machine.cpu.lane in process_rows
 
 
 class TestEdgeCases:

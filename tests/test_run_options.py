@@ -18,6 +18,7 @@ from repro.core import (
     make_context,
     use_options,
 )
+from repro.core.options import MIN_TIMESERIES_INTERVAL_MS
 from repro.experiments.common import _capture_call, fanout_map
 from repro.experiments.runner import main as runner_main
 from repro.faults import KINDS, FaultPlan, FaultPlanError
@@ -58,6 +59,7 @@ class TestParse:
     @pytest.mark.parametrize("flag, value", [
         ("timeseries", "nan"), ("timeseries", "inf"), ("timeseries", "-5"),
         ("timeseries", "10:0"), ("timeseries", "fast"),
+        ("timeseries", "1e-300"), ("timeseries", "0.5"),
         ("serving", "rate=nan"), ("serving", "timeout=inf"),
         ("serving", "slo=-inf"), ("concurrency", "tsan"),
         ("faults", "/nonexistent/plan.json"),
@@ -135,6 +137,12 @@ class TestCliExitTwo:
                             "nan"]) == 2
         _assert_one_line_error(capsys, "--timeseries")
 
+    def test_report_timeseries_below_floor(self, capsys):
+        # An interval this small would stall the sampler's time grid.
+        assert report_main(["--workload", "fig2", "--timeseries",
+                            "1e-300"]) == 2
+        _assert_one_line_error(capsys, "--timeseries")
+
 
 # ---------------------------------------------------------------------------
 # Fuzz: each input parses or raises the parser's own error type
@@ -204,7 +212,8 @@ def test_fuzz_run_options_parse(timeseries, serving, concurrency):
             continue
         if options.timeseries is not None:
             interval_ms, capacity = options.timeseries
-            assert math.isfinite(interval_ms) and interval_ms > 0
+            assert math.isfinite(interval_ms)
+            assert interval_ms >= MIN_TIMESERIES_INTERVAL_MS
             assert capacity >= 1
         if options.serving is not None:
             for value in vars(options.serving).values():

@@ -60,20 +60,20 @@ class TestHeadlineChecks:
             self.row("TimeSlicing", 400.0, 12.0, slo="MISS"),
         ]))
         assert len(checks) == 3
-        assert all(c.endswith("OK") for c in checks)
+        assert all(c.startswith("PASS: ") for c in checks)
 
     def test_p99_inversion_flagged(self):
         checks = serving_colocation.headline_checks(self.result_with([
             self.row("SwitchFlow", 500.0, 28.0),
             self.row("TimeSlicing", 400.0, 12.0),
         ]))
-        assert any("p99" in c and c.endswith("MISS") for c in checks)
+        assert any("p99" in c and c.startswith("FAIL: ") for c in checks)
 
     def test_missing_operating_point(self):
         checks = serving_colocation.headline_checks(self.result_with([
             self.row("SwitchFlow", 100.0, 28.0, rate=999.0),
         ]))
-        assert len(checks) == 1 and checks[0].endswith("MISS")
+        assert len(checks) == 1 and checks[0].startswith("FAIL: ")
 
 
 class TestServingSweep:
