@@ -105,8 +105,7 @@ def bench_engine_dispatch(optimized: bool, events: int,
     """schedule+dispatch rate: pre-created events succeed in batches.
 
     This isolates the scheduling core — agenda insert, merged pop,
-    callback dispatch — which is exactly what the immediate-lane fast
-    path targets.
+    callback dispatch — through the FIFO of events due now.
     """
     engine = _make_engine(optimized)
     processed = 0
@@ -177,9 +176,9 @@ def bench_engine_mixed(optimized: bool, events: int) -> float:
     The single-family benches isolate one agenda lane each; real runs
     interleave all three. A third of the events step generator
     processes, a third are staggered future timeouts, and a third are
-    re-arming chains that alternate between the immediate lane and
-    short future delays — so bucket churn, lane swaps and pooled
-    timeout reuse all happen in one loop.
+    re-arming chains that alternate between the due-now FIFO and short
+    future delays — so bucket churn and same-time appends happen in
+    one loop.
     """
     engine = _make_engine(optimized)
     third = events // 3
@@ -551,8 +550,7 @@ def trace_retained_bytes_per_span(spans: int) -> float:
 
     Records ``spans`` synthetic CPU-op spans (a few dozen labels, two
     contexts, like a training step's host ops) under ``tracemalloc``
-    after a warm-up pass has filled the engine's pools and the meta
-    intern table. Deterministic: it counts allocations, not time.
+    after a warm-up pass has filled the meta intern table. Deterministic: it counts allocations, not time.
     """
     engine = Engine()
     tracer = Tracer(engine)

@@ -69,10 +69,13 @@ from __future__ import annotations
 
 import ast
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -89,6 +92,11 @@ from repro.sim import instrument
 #: Path to append each run's rendered concurrency report to (the CI
 #: artifact hook). Unset means no file is written.
 CONCURRENCY_REPORT_ENV = "REPRO_CONCURRENCY_REPORT"
+
+#: Rendered reports held back from the file inside a
+#: :func:`capture_concurrency_reports` block; None outside one.
+_CAPTURED_REPORTS: ContextVar[Optional[List[str]]] = ContextVar(
+    "captured_concurrency_reports", default=None)
 
 #: Actor id of the serialized event loop (engine callbacks run here).
 _ENGINE_AID = 0
@@ -765,9 +773,10 @@ def finalize_concurrency(ctx, label: str = "run") -> Optional[Report]:
     """End-of-run bookkeeping for an attached tracker.
 
     Uninstalls the hooks, appends the rendered report to
-    ``$REPRO_CONCURRENCY_REPORT`` (when set), and — unless the
-    sanitizer owns metrics export for this run — publishes the
-    ``analysis.*`` counts. Safe to call more than once.
+    ``$REPRO_CONCURRENCY_REPORT`` (when set; inside
+    :func:`capture_concurrency_reports` it is collected instead), and —
+    unless the sanitizer owns metrics export for this run — publishes
+    the ``analysis.*`` counts. Safe to call more than once.
     """
     tracker = getattr(ctx, "concurrency", None)
     if tracker is None or tracker.finalized:
@@ -779,11 +788,39 @@ def finalize_concurrency(ctx, label: str = "run") -> Optional[Report]:
         # With --sanitize, analyze_context folds this report in and
         # exports the merged counts; don't double-count findings.
         report.export_metrics(ctx.metrics)
-    path = os.environ.get(CONCURRENCY_REPORT_ENV)
-    if path:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(report.render() + "\n\n")
+    if os.environ.get(CONCURRENCY_REPORT_ENV):
+        block = report.render() + "\n\n"
+        captured = _CAPTURED_REPORTS.get()
+        if captured is None:
+            write_concurrency_reports([block])
+        else:
+            captured.append(block)
     return report
+
+
+@contextmanager
+def capture_concurrency_reports() -> Iterator[List[str]]:
+    """Collect the rendered reports finalized in the block, in run order,
+    instead of appending them to ``$REPRO_CONCURRENCY_REPORT``.
+
+    A fan-out worker runs its item under this and ships the blocks back,
+    so the parent writes every item's reports in input order
+    (:func:`write_concurrency_reports`) whichever worker finishes first.
+    """
+    blocks: List[str] = []
+    token = _CAPTURED_REPORTS.set(blocks)
+    try:
+        yield blocks
+    finally:
+        _CAPTURED_REPORTS.reset(token)
+
+
+def write_concurrency_reports(blocks: Sequence[str]) -> None:
+    """Append rendered report blocks to ``$REPRO_CONCURRENCY_REPORT``."""
+    path = os.environ.get(CONCURRENCY_REPORT_ENV)
+    if path and blocks:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("".join(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ can feed crafted bad traces without running a simulation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, Report, Severity
@@ -43,24 +43,13 @@ GPU_LANE_PREFIX = "gpu:"
 
 @dataclass(frozen=True)
 class SanitizerConfig:
-    """Which invariants to enforce, and how loudly."""
+    """How loudly to report; every invariant check always runs, except
+    mutual exclusion on policies that share a GPU by design."""
 
     #: Enforce per-GPU cross-job mutual exclusion. Policies that share
     #: the device on purpose (multi-threaded TF, MPS) advertise
     #: ``exclusive_gpu = False`` and skip this check.
     exclusive_gpu: bool = True
-    check_preemption: bool = True
-    check_migration: bool = True
-    check_memory: bool = True
-    check_clock: bool = True
-    check_spans: bool = True
-    #: Cross-node invariants: transfers depart from the recorded
-    #: placement, over routes whose endpoints exist.
-    check_routes: bool = True
-    #: Serving request-span accounting: every arrived request gets
-    #: exactly one terminal event (completed xor shed), never both,
-    #: never a terminal without an arrival.
-    check_serving: bool = True
     #: Findings per check before the remainder is summarized.
     max_reports_per_check: int = 20
 
@@ -115,33 +104,22 @@ def sanitize_run(ctx, policy=None,
         ctx.tracer.spans, records=ctx.runlog.records,
         memory_peaks=memory_peaks,
         known_devices={device.name for device in machine.devices},
-        config=SanitizerConfig(
-            exclusive_gpu=exclusive,
-            check_preemption=config.check_preemption,
-            check_migration=config.check_migration,
-            check_memory=config.check_memory,
-            check_clock=config.check_clock,
-            check_spans=config.check_spans,
-            check_routes=config.check_routes,
-            check_serving=config.check_serving,
-            max_reports_per_check=config.max_reports_per_check))
-    if config.check_spans:
-        # Spans still open when the engine stopped are in-flight work
-        # truncated by the measurement window (e.g. pipeline chunks of
-        # the next batch), not leaks — the harness halts the instant
-        # the measured processes finish, stranding whatever was
-        # mid-flight. Narrate them; strict closure enforcement after an
-        # *orderly* shutdown is :meth:`Tracer.assert_all_closed`.
-        open_spans = ctx.tracer.open_spans
-        if open_spans:
-            names = ", ".join(
-                f"{s.lane}/{s.name}" for s in open_spans[:4])
-            if len(open_spans) > 4:
-                names += ", ..."
-            report.info(
-                "span-inflight",
-                f"{len(open_spans)} span(s) still in flight when the "
-                f"run stopped at {ctx.engine.now:.3f}ms: {names}")
+        config=replace(config, exclusive_gpu=exclusive))
+    # Spans still open when the engine stopped are in-flight work
+    # truncated by the measurement window (e.g. pipeline chunks of the
+    # next batch), not leaks — the harness halts the instant the
+    # measured processes finish, stranding whatever was mid-flight.
+    # Narrate them; strict closure enforcement after an *orderly*
+    # shutdown is :meth:`Tracer.assert_all_closed`.
+    open_spans = ctx.tracer.open_spans
+    if open_spans:
+        names = ", ".join(f"{s.lane}/{s.name}" for s in open_spans[:4])
+        if len(open_spans) > 4:
+            names += ", ..."
+        report.info(
+            "span-inflight",
+            f"{len(open_spans)} span(s) still in flight when the run "
+            f"stopped at {ctx.engine.now:.3f}ms: {names}")
     return report
 
 
@@ -154,21 +132,15 @@ def sanitize_trace(spans: Sequence[Span],
     """Pure-data sanitizer: spans + run-log records in, findings out."""
     config = config or SanitizerConfig()
     report = Report(title)
-    if config.check_spans:
-        _check_wellformed(report, spans, config)
-    if config.check_clock:
-        _check_clock(report, records, config)
+    _check_wellformed(report, spans, config)
+    _check_clock(report, records, config)
     if config.exclusive_gpu:
         _check_mutual_exclusion(report, spans, config)
-    if config.check_preemption:
-        _check_preemption_safety(report, spans, records, config)
-    if config.check_migration:
-        _check_migration_off_critical_path(report, spans, records)
-    if config.check_routes:
-        _check_route_placement(report, records, config, known_devices)
-    if config.check_serving:
-        _check_request_spans(report, records, config)
-    if config.check_memory and memory_peaks:
+    _check_preemption_safety(report, spans, records, config)
+    _check_migration_off_critical_path(report, spans, records)
+    _check_route_placement(report, records, config, known_devices)
+    _check_request_spans(report, records, config)
+    if memory_peaks:
         _check_memory_ceiling(report, memory_peaks)
     return report
 

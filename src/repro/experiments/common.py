@@ -14,6 +14,9 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
+from repro.analysis.concurrency import (
+    capture_concurrency_reports, write_concurrency_reports,
+)
 from repro.baselines import MultiThreadedTF
 from repro.core import JobHandle, RunContext, make_context
 from repro.core.options import RunOptions, current_options, use_options
@@ -139,18 +142,21 @@ class _RemoteTraceback(Exception):
 def _capture_call(payload: Tuple[Callable[[Any], Any], Any, RunOptions]
                   ) -> tuple:
     """Run ``fn(item)`` in the worker under the parent's run options,
-    capturing any exception.
+    capturing any exception and the run's concurrency reports.
 
-    Exceptions are shipped back as (picklable) payloads instead of
-    being raised: raising inside the worker loses the child traceback,
-    and some exceptions don't survive pickling at all.
+    Returns ``(status, value, reports, traceback)``. Exceptions are
+    shipped back as (picklable) payloads instead of being raised:
+    raising inside the worker loses the child traceback, and some
+    exceptions don't survive pickling at all. The rendered concurrency
+    reports go back too, so the parent writes them in input order.
     """
     fn, item, options = payload
-    try:
-        with use_options(options):
-            return "ok", fn(item)
-    except BaseException as exc:  # noqa: B036 - re-raised in the parent
-        return "err", exc, traceback.format_exc()
+    with capture_concurrency_reports() as reports:
+        try:
+            with use_options(options):
+                return "ok", fn(item), reports, None
+        except BaseException as exc:  # noqa: B036 - re-raised in the parent
+            return "err", exc, reports, traceback.format_exc()
 
 
 def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
@@ -161,8 +167,9 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     plain-data args). Falls back to the serial path when ``jobs`` <= 1,
     there is at most one item, or we are already inside a pool worker —
     so callers can use it unconditionally. Output order always matches
-    input order. Each worker call runs under the caller's active
-    :class:`~repro.core.options.RunOptions`.
+    input order, and so does the order of the items' blocks in
+    ``$REPRO_CONCURRENCY_REPORT``. Each worker call runs under the
+    caller's active :class:`~repro.core.options.RunOptions`.
 
     Failure semantics: an exception raised by ``fn`` inside a worker is
     re-raised here as itself, with the worker's formatted traceback
@@ -191,12 +198,12 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
             "crashed without raising); rerun with --jobs 1 to see the "
             "failure inline") from exc
     results: List[Any] = []
-    for outcome in outcomes:
-        if outcome[0] == "err":
-            _status, exc, tb = outcome
-            exc.__cause__ = _RemoteTraceback(tb)
-            raise exc
-        results.append(outcome[1])
+    for status, value, reports, tb in outcomes:
+        write_concurrency_reports(reports)
+        if status == "err":
+            value.__cause__ = _RemoteTraceback(tb)
+            raise value
+        results.append(value)
     return results
 
 

@@ -24,19 +24,6 @@ PENDING = object()
 URGENT = 0
 NORMAL = 1
 
-# Event-type tags: a class-level int so the engine's dispatch loop can
-# switch on the dominant concrete types without isinstance checks. Only
-# TAG_TIMEOUT changes dispatch behaviour today (pool recycling); the rest
-# exist so profiling tools and future dispatch-table entries can bucket
-# events without touching Python's MRO.
-TAG_GENERIC = 0
-TAG_TIMEOUT = 1
-TAG_PROCESS = 2
-TAG_INITIALIZE = 3
-TAG_INTERRUPTION = 4
-TAG_CONDITION = 5
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -46,8 +33,8 @@ class Event:
 
     ``_waiter`` is the direct-resume slot: when exactly one process
     waits on an event (the overwhelmingly common case), it parks itself
-    here instead of appending a bound-method callback, and the dispatch
-    loop resumes it without touching the callback list. The waiter is
+    here instead of appending a bound-method callback, and
+    ``Engine._dispatch`` resumes it before walking the callback list. The waiter is
     always delivered *before* listed callbacks — the order a plain
     callback list would give, since the slot is only used while the
     list is empty.
@@ -55,8 +42,6 @@ class Event:
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_defused",
                  "_waiter")
-
-    _tag = TAG_GENERIC
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -154,21 +139,17 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after ``delay`` time units.
 
-    Processed timeouts whose sole owner was the engine are recycled
-    through ``Engine._timeout_pool`` — construction here is the cold
-    path.
+    It is triggered from birth: construction schedules it on the engine,
+    and :meth:`Engine.timeout` is the usual way to make one.
     """
 
     __slots__ = ("delay",)
-
-    _tag = TAG_TIMEOUT
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(engine)
         self.delay = delay
-        self._ok = True
         self._value = value
         engine.schedule(self, delay=delay)
 
@@ -183,8 +164,6 @@ class AnyOf(Event):
     """
 
     __slots__ = ("events",)
-
-    _tag = TAG_CONDITION
 
     def __init__(self, engine: "Engine", events: List[Event]) -> None:
         super().__init__(engine)
@@ -221,8 +200,6 @@ class AllOf(Event):
     """
 
     __slots__ = ("events", "_remaining")
-
-    _tag = TAG_CONDITION
 
     def __init__(self, engine: "Engine", events: List[Event]) -> None:
         super().__init__(engine)

@@ -11,9 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.errors import Interrupted, SimulationError
-from repro.sim.events import (
-    TAG_INITIALIZE, TAG_INTERRUPTION, TAG_PROCESS, URGENT, Event,
-)
+from repro.sim.events import URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -25,8 +23,6 @@ class Initialize(Event):
     """Immediately-scheduled event that starts a freshly created process."""
 
     __slots__ = ("process",)
-
-    _tag = TAG_INITIALIZE
 
     def __init__(self, engine: "Engine", process: "Process") -> None:
         super().__init__(engine)
@@ -43,8 +39,6 @@ class Interruption(Event):
     """Urgent event that throws :class:`Interrupted` into a process."""
 
     __slots__ = ("process",)
-
-    _tag = TAG_INTERRUPTION
 
     def __init__(self, process: "Process", cause: Any) -> None:
         super().__init__(process.engine)
@@ -84,8 +78,6 @@ class Process(Event):
     """A running simulated activity driven by a generator."""
 
     __slots__ = ("generator", "_target", "name", "_send", "_throw")
-
-    _tag = TAG_PROCESS
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator,
                  name: Optional[str] = None) -> None:

@@ -354,12 +354,6 @@ class TestRequestSpans:
         assert not sanitize_trace([], records=records) \
             .by_check("request-span")
 
-    def test_check_serving_false_waives(self):
-        config = SanitizerConfig(check_serving=False)
-        report = sanitize_trace([], records=request_records(
-            ("arrived", 0),), config=config)
-        assert not report.by_check("request-span")
-
     def test_real_serving_run_is_clean(self):
         from repro.serving import (
             SLOTarget, ServedModelSpec, make_trace, run_serving,

@@ -1,4 +1,4 @@
-"""Engine equivalence: the array-structured engine == the heap oracle.
+"""Engine equivalence: the calendar engine == the heap oracle.
 
 :class:`~repro.sim.heap_engine.HeapEngine` keeps the agenda in one
 explicit (time, priority, sequence, event) heap. These tests run the
@@ -23,6 +23,7 @@ from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.sim import Engine
+from repro.sim.errors import Interrupted
 from repro.sim.heap_engine import HeapEngine
 from repro.workloads import JobSpec, run_colocation
 
@@ -46,15 +47,22 @@ def context_on(engine_cls, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # Randomized micro-workloads straight on the engine
 # ---------------------------------------------------------------------------
-def run_program(engine_cls, program):
+def run_program(engine_cls, program, horizons=()):
     """Execute a little process zoo; return the observable transcript.
 
     ``program`` is a list of per-process instruction lists; each
-    instruction is ``(delay, signal_index)`` — wait ``delay`` ms, then
-    (optionally) succeed a shared event that other processes may be
-    waiting on. ``signal_index`` may also be ``None`` (pure timeout) or
-    negative (wait on event ``-signal_index - 1`` instead of timing
-    out), which exercises the immediate-FIFO lane against the heap.
+    instruction is ``(delay, signal_index, victim)`` — wait ``delay``
+    ms, then (optionally) succeed a shared event that other processes
+    may be waiting on. ``signal_index`` may also be ``None`` (pure
+    timeout) or negative (wait on event ``-signal_index - 1`` instead
+    of timing out), which exercises the due-now FIFO against the heap.
+    A ``victim`` that is not ``None`` then interrupts process
+    ``victim``, which exercises the URGENT lane; an interrupted process
+    logs the interrupt and goes on with its next instruction.
+
+    The run goes in ``run(until=h)`` chunks, one per horizon, which
+    snap the clock to each horizon between chunks, before it runs to
+    quiescence.
     """
     engine = engine_cls()
     n_events = len(program)
@@ -62,25 +70,38 @@ def run_program(engine_cls, program):
     log = []
 
     def proc(pid, instructions):
-        for step, (delay, signal) in enumerate(instructions):
-            if signal is not None and signal < 0:
-                target = events[(-signal - 1) % n_events]
-                if not target.triggered:
-                    yield target
-            else:
-                yield engine.timeout(delay)
-                if signal is not None:
-                    event = events[signal % n_events]
-                    if not event.triggered:
-                        event.succeed(value=pid)
+        for step, (delay, signal, victim) in enumerate(instructions):
+            try:
+                if signal is not None and signal < 0:
+                    target = events[(-signal - 1) % n_events]
+                    if not target.triggered:
+                        yield target
+                else:
+                    yield engine.timeout(delay)
+                    if signal is not None:
+                        event = events[signal % n_events]
+                        if not event.triggered:
+                            event.succeed(value=pid)
+            except Interrupted as interrupt:
+                log.append((engine.now, pid, step, "interrupted",
+                            interrupt.cause))
+                continue
+            if victim is not None:
+                other = processes[victim % len(processes)]
+                if other.is_alive and other is not engine.active_process:
+                    other.interrupt(cause=pid)
             log.append((engine.now, pid, step))
 
     processes = [engine.process(proc(pid, instructions), name=f"p{pid}")
                  for pid, instructions in enumerate(program)]
     # Not every process terminates (a wait on an event nobody fires);
     # run to quiescence with a horizon instead of joining them all.
-    engine.run(until=engine.any_of([engine.all_of(processes),
-                                    engine.timeout(1e6)]))
+    done = engine.any_of([engine.all_of(processes), engine.timeout(1e6)])
+    for horizon in sorted(horizons):
+        if horizon >= engine.now:
+            engine.run(until=horizon)
+            log.append(("horizon", engine.now, engine.peek()))
+    engine.run(until=done)
     return log, engine.now
 
 
@@ -88,28 +109,33 @@ instruction = st.tuples(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False,
               allow_infinity=False),
     st.one_of(st.none(), st.integers(min_value=-8, max_value=8)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
 ) if HAVE_HYPOTHESIS else None
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(instruction, max_size=6), min_size=1,
-                max_size=5))
-def test_engine_matches_heap_oracle(program):
-    assert run_program(Engine, program) == run_program(HeapEngine, program)
+                max_size=5),
+       st.lists(st.floats(min_value=0.0, max_value=120.0), max_size=3))
+def test_engine_matches_heap_oracle(program, horizons):
+    assert (run_program(Engine, program, horizons)
+            == run_program(HeapEngine, program, horizons))
 
 
 def test_fixed_program_equivalence():
     # Deterministic fallback covering the same ground as the property
-    # test: ties at one timestamp, immediate wakeups, and waits on
-    # events fired by other processes.
+    # test: ties at one timestamp, immediate wakeups, waits on events
+    # fired by other processes, interrupts and horizon chunks.
     program = [
-        [(0.0, 1), (5.0, None), (0.0, 2)],
-        [(0.0, -1), (0.0, 0)],
-        [(5.0, None), (0.0, -3), (1.0, None)],
-        [(0.0, -2), (2.0, 1)],
+        [(0.0, 1, None), (5.0, None, 2), (0.0, 2, None)],
+        [(0.0, -1, None), (0.0, 0, None)],
+        [(5.0, None, None), (0.0, -3, 3), (1.0, None, None)],
+        [(0.0, -2, None), (2.0, 1, 0)],
     ]
-    assert run_program(Engine, program) == run_program(HeapEngine, program)
+    horizons = (0.0, 3.0, 5.0)
+    assert (run_program(Engine, program, horizons)
+            == run_program(HeapEngine, program, horizons))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +359,15 @@ def test_random_cluster_workloads_preserve_equivalence(seed, delay0, gap,
 
 
 # ---------------------------------------------------------------------------
-# Engine internals: the calendar/bucket agenda, the double-buffered
-# immediate lane and the pooled Timeout path have edge cases (growth,
-# wraparound, re-entry) that generic workloads may not hit reliably.
+# Engine internals: the calendar buckets and the FIFOs of events due
+# now have edge cases (large buckets, appends while draining, re-entry
+# after a horizon) that generic workloads may not hit reliably.
 # ---------------------------------------------------------------------------
 class TestArrayCoreEdges:
 
     def test_event_storm_grows_past_initial_capacity(self):
-        # Thousands of same-time events force every pooled list to grow
-        # far beyond its recycled capacity; ordering must stay schedule
-        # order within each lane.
+        # Thousands of same-time events share one calendar bucket;
+        # ordering must stay schedule order.
         engine = Engine()
         log = []
         for index in range(5000):
@@ -353,9 +378,9 @@ class TestArrayCoreEdges:
         assert engine.now == 1.0
 
     def test_immediate_lane_swap_cycling_with_interleaved_appends(self):
-        # Each callback appends a new immediate event, forcing repeated
-        # append-buffer/drain-buffer swaps while both buffers are live.
-        # The drain order must match the heap oracle bit for bit.
+        # Each callback appends a new event due now while the due FIFO
+        # drains, so three chains interleave through it. The drain
+        # order must match the heap oracle bit for bit.
         def run(engine_cls):
             engine = engine_cls()
             log = []
@@ -432,8 +457,8 @@ class TestArrayCoreEdges:
         assert engine.peek() == float("inf")
 
     def test_pooled_timeouts_recycle_without_crosstalk(self):
-        # Long chains of waiter-path timeouts exercise pool reuse; each
-        # reused Timeout must deliver its own fresh delay and value.
+        # Long chains of waiter-path timeouts: each Timeout must deliver
+        # its own delay and value, whatever ran before it.
         engine = Engine()
         seen = []
 

@@ -8,11 +8,7 @@ for the single link it wraps — and single-node behavior is unchanged.
 
 import pytest
 
-from repro.analysis.sanitizer import (
-    SanitizerConfig,
-    open_span_findings,
-    sanitize_trace,
-)
+from repro.analysis.sanitizer import open_span_findings, sanitize_trace
 from repro.core import (
     JobHandle,
     PRIORITY_HIGH,
@@ -501,15 +497,6 @@ class TestRoutePlacementCheck:
         assert any("unknown device 'node9/gpu0'" in m for m in messages)
         assert any("stages through unknown device 'node9/cpu'" in m
                    for m in messages)
-
-    def test_check_can_be_disabled(self):
-        records = [{
-            "event": "state_transfer_start", "t_ms": 1.0, "job": "j",
-            "src": "bogus", "dst": "also-bogus"}]
-        config = SanitizerConfig(check_routes=False)
-        report = sanitize_trace([], records=records, config=config,
-                                known_devices=self.DEVICES)
-        assert not report.by_check("route-placement")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,15 @@ fast experiment subset.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
+from repro.analysis.concurrency import (
+    CONCURRENCY_REPORT_ENV,
+    finalize_concurrency,
+)
+from repro.core import make_context
 from repro.experiments import runner
 from repro.experiments.common import (
     WorkerCrashError,
@@ -20,6 +26,7 @@ from repro.experiments.common import (
     fanout_map,
     resolve_jobs,
 )
+from repro.hw import v100_server
 from repro.obs.procpool import ProcPoolStats
 
 
@@ -39,6 +46,14 @@ def _exit_for_three(value):
     return value
 
 
+def _tracked_run(item):
+    label, delay_s = item
+    ctx = make_context(v100_server, 1, seed=1, concurrency="hb")
+    time.sleep(delay_s)
+    finalize_concurrency(ctx, label=label)
+    return label
+
+
 def test_fanout_map_serial_matches_parallel():
     items = list(range(20))
     expected = [_square(item) for item in items]
@@ -49,6 +64,19 @@ def test_fanout_map_serial_matches_parallel():
 def test_fanout_map_preserves_order():
     items = [5, 1, 4, 2, 3]
     assert fanout_map(_square, items, jobs=2) == [25, 1, 16, 4, 9]
+
+
+def test_fanout_concurrency_reports_follow_item_order(monkeypatch,
+                                                      tmp_path):
+    # The first item finishes last, yet its report block comes first:
+    # the parent writes the workers' blocks in input order.
+    out = tmp_path / "concurrency.txt"
+    monkeypatch.setenv(CONCURRENCY_REPORT_ENV, str(out))
+    items = [("slow", 0.5), ("fast", 0.0)]
+    assert fanout_map(_tracked_run, items, jobs=2) == ["slow", "fast"]
+    text = out.read_text(encoding="utf-8")
+    assert text.count("== concurrency: ") == 2
+    assert text.index("concurrency: slow") < text.index("concurrency: fast")
 
 
 def test_fanout_map_empty():

@@ -247,7 +247,7 @@ class TestActivation:
 
     def test_worker_payload_carries_the_options(self):
         options = RunOptions(sanitize=True, timeseries=(50.0, 8))
-        status, (seen, _pid) = _capture_call(
+        status, (seen, _pid), _reports, _tb = _capture_call(
             (_options_seen_by_worker, None, options))
         assert status == "ok"
         assert seen == options
