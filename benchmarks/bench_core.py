@@ -246,7 +246,6 @@ def _engine_pair(bench, events: int, repeats: int = 1) -> dict:
 _DISPATCH_VARIANTS = {
     "bare": {},
     "timeseries": {"timeseries_interval_ms": 50.0},
-    "lockset": {"concurrency": "lockset"},
     "hb": {"concurrency": "hb"},
 }
 
@@ -332,10 +331,11 @@ def bench_executor_ready_churn(total_tasks: int, wave: int = 64,
     """Ready-set churn: waves of microtasks through one thread pool.
 
     Isolates the completion-wave dispatch path the executor leans on —
-    ``submit_batch`` placement, worker wake, local-queue pop and the
-    incremental queue-depth accounting — without the model/device
-    machinery of ``executor.dispatch``. A driver releases a wave of
-    trivial tasks, waits for the pool to drain it, and repeats.
+    ``ThreadPool.submit`` placement of a whole wave, worker wake,
+    local-queue pop and the incremental queue-depth accounting —
+    without the model/device machinery of ``executor.dispatch``. A
+    driver releases a wave of trivial tasks, waits for the pool to
+    drain it, and repeats.
     """
     from repro.hw.cpu import CpuDevice
     from repro.runtime.threadpool import Task, ThreadPool
@@ -357,7 +357,7 @@ def bench_executor_ready_churn(total_tasks: int, wave: int = 64,
                 if remaining[0] == 0:
                     done.succeed()
 
-            pool.submit_batch(
+            pool.submit(
                 [Task(f"churn{submitted + i}", "bench", body)
                  for i in range(count)])
             submitted += count
@@ -493,16 +493,16 @@ def bench_histogram_quantile(samples: int, queries: int) -> dict:
 
 
 def bench_concurrency_overhead(runs: dict, iterations: int) -> dict:
-    """Dispatch rate with the concurrency tracker off / lockset / hb.
+    """Dispatch rate with the concurrency tracker off and on.
 
-    The untracked run is the hot-path guard: every synchronization
-    source and shared-state site now carries an instrumentation hook,
-    and with no tracker installed each hook must cost one module-global
-    load plus a ``None`` test — so ``untracked_nodes_per_sec`` is gated
-    against regression alongside ``executor.dispatch``. The tracked
-    rates record what full happens-before and lockset-only analysis
-    actually cost on the same workload; ``hb_nodes_per_sec`` is gated
-    too, so a slower tracker fails the bench gate.
+    The untracked rate reuses the ``bare`` runs of ``executor.dispatch``
+    (every synchronization source and shared-state site carries an
+    instrumentation hook, and with no tracker installed each hook must
+    cost one module-global load plus a ``None`` test), so it is gated
+    there, not here. The tracked rate records what happens-before,
+    lockset and deadlock analysis cost on the same workload;
+    ``hb_nodes_per_sec`` is gated, so a slower tracker fails the bench
+    gate.
     """
     untracked = _nodes_per_sec(runs["bare"])
     hb = _nodes_per_sec(runs["hb"])
@@ -512,8 +512,6 @@ def bench_concurrency_overhead(runs: dict, iterations: int) -> dict:
         "iterations": iterations,
         "untracked_nodes_per_sec": untracked,
         **_spread(_rates(runs["bare"]), "untracked_nodes_per_sec"),
-        "lockset_nodes_per_sec": _nodes_per_sec(runs["lockset"]),
-        **_spread(_rates(runs["lockset"]), "lockset_nodes_per_sec"),
         "hb_nodes_per_sec": hb,
         **_spread(_rates(runs["hb"]), "hb_nodes_per_sec"),
         "hb_overhead_pct": round(100.0 * (untracked - hb) / untracked, 1),
@@ -827,8 +825,7 @@ def _print_summary(payload: dict) -> None:
           f"profile {obs['profile_overhead_ms']} ms)")
     concurrency = benches["analysis.concurrency"]
     print(f"analysis.concurrency: {concurrency['untracked_nodes_per_sec']:,} "
-          f"nodes/s untracked, {concurrency['lockset_nodes_per_sec']:,} "
-          f"lockset, {concurrency['hb_nodes_per_sec']:,} hb "
+          f"nodes/s untracked, {concurrency['hb_nodes_per_sec']:,} hb "
           f"({concurrency['hb_overhead_pct']}% overhead, "
           f"{concurrency['tracked_accesses']} accesses / "
           f"{concurrency['tracked_sync_ops']} sync ops)")

@@ -45,7 +45,6 @@ RATE_KEYS: Tuple[Tuple[str, str], ...] = (
     ("histogram.quantile", "cached_queries_per_sec"),
     ("obs.overhead", "profiled_nodes_per_sec"),
     ("topology.route_lookup", "route_lookups_per_sec"),
-    ("analysis.concurrency", "untracked_nodes_per_sec"),
     ("analysis.concurrency", "hb_nodes_per_sec"),
     ("serving.request_throughput", "requests_per_sec"),
 )

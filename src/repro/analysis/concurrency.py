@@ -6,15 +6,15 @@ shipped one real concurrency bug (the PR 4 executor deadlock: an
 aborted run consumed a rendezvous token without completing its RECV).
 This module turns those invariants into checkable properties:
 
-* **Happens-before tracking** (:class:`ConcurrencyTracker`, ``hb``
-  mode). Every synchronization source is an edge: ``DeviceGate``
-  grant/release, ``Semaphore`` acquire/release, rendezvous SEND/RECV,
-  ``ThreadPool`` task hand-off, GPU-kernel completion callbacks, and
-  process forks. Actors (simulated processes, plus the serialized
-  event loop itself) carry vector clocks; instrumented accesses to
-  shared runtime state (device memory accounting, executor run state,
-  policy job tables) that are unordered by happens-before are flagged
-  as ``concurrency.race`` ERRORs.
+* **Happens-before tracking** (:class:`ConcurrencyTracker`). Every
+  synchronization source is an edge: ``DeviceGate`` grant/release,
+  ``Semaphore`` acquire/release, rendezvous SEND/RECV, ``ThreadPool``
+  task hand-off, GPU-kernel completion callbacks, and process forks.
+  Actors (simulated processes, plus the serialized event loop itself)
+  carry vector clocks; instrumented accesses to shared runtime state
+  (device memory accounting, executor run state, policy job tables)
+  that are unordered by happens-before are flagged as
+  ``concurrency.race`` ERRORs.
 
   Clocks follow a *publication discipline*: an actor's clock leaves it
   only at a release into a sync clock, a hand-off send or a fork, and
@@ -28,14 +28,12 @@ This module turns those invariants into checkable properties:
   clocks are identical to entry-by-entry merging; any new hook that
   publishes a clock must advance the own component right after.
 
-* **Eraser-style lockset pass** (``lockset`` mode, also computed in
-  ``hb`` mode) over the same access stream: each shared location's
-  candidate lockset is the intersection of the guards held at every
-  access once a second actor touches it; a written location whose
-  candidate set goes empty gets a ``concurrency.lockset`` WARNING.
-  Cheaper than vector clocks — no per-actor clock maintenance — and
-  catches *discipline* violations even when this execution happened to
-  order the accesses.
+* **Eraser-style lockset pass** over the same access stream: each
+  shared location's candidate lockset is the intersection of the
+  guards held at every access once a second actor touches it; a
+  written location whose candidate set goes empty gets a
+  ``concurrency.lockset`` WARNING. It catches *discipline* violations
+  even when this execution happened to order the accesses.
 
 * **Wait-for-graph deadlock detection**, live and post-hoc. Blocking
   waits add an actor→resource edge; grants record resource→holder
@@ -267,20 +265,15 @@ class WaitForGraph:
 class ConcurrencyTracker:
     """Vector-clock / lockset / wait-for tracker for one engine.
 
-    ``mode="hb"`` maintains vector clocks and reports happens-before
-    races; ``mode="lockset"`` skips all clock work (the cheap always-on
-    mode) and reports lockset-discipline violations and deadlocks only.
-    Hook methods are called by the instrumented runtime sources (see
-    :mod:`repro.sim.instrument`); events from other engines are
-    ignored, so stale installs cannot corrupt a newer context's run.
+    Reports happens-before races, lockset-discipline violations and
+    deadlocks. Hook methods are called by the instrumented runtime
+    sources (see :mod:`repro.sim.instrument`); events from other
+    engines are ignored, so stale installs cannot corrupt a newer
+    context's run.
     """
 
-    def __init__(self, engine, mode: str = "hb", runlog=None,
-                 ctx=None) -> None:
-        if mode not in ("hb", "lockset"):
-            raise ValueError(f"unknown concurrency mode {mode!r}")
+    def __init__(self, engine, runlog=None, ctx=None) -> None:
         self.engine = engine
-        self.mode = mode
         self.runlog = runlog
         self.ctx = ctx
         self.finalized = False
@@ -342,18 +335,15 @@ class ConcurrencyTracker:
             return
         creator = self._current()
         child = self._new_actor(process)
-        if self.mode == "hb":
-            child.vc = dict(creator.vc)
-            child.vc[child.aid] = 1
-            child.clean = False
-            _advance(creator)
+        child.vc = dict(creator.vc)
+        child.vc[child.aid] = 1
+        child.clean = False
+        _advance(creator)
 
     # ------------------------------------------------------------------
     # Vector-clock edges
     # ------------------------------------------------------------------
     def _acquire_edge(self, actor: _Actor, key: str) -> None:
-        if self.mode != "hb":
-            return
         sync = self._syncs.get(key)
         if sync is None:
             return
@@ -362,8 +352,6 @@ class ConcurrencyTracker:
         actor.seen[key] = sync.version
 
     def _release_edge(self, actor: _Actor, key: str) -> None:
-        if self.mode != "hb":
-            return
         sync = self._syncs.get(key)
         if sync is None:
             sync = self._syncs[key] = _SyncClock()
@@ -521,8 +509,6 @@ class ConcurrencyTracker:
     # ------------------------------------------------------------------
     def handoff_send(self, token: Any) -> None:
         """Publish the current actor's clock under ``token``."""
-        if self.mode != "hb":
-            return
         actor = self._current()
         self._handoffs[token] = (actor.aid, actor.vc[actor.aid],
                                  dict(actor.vc))
@@ -530,8 +516,6 @@ class ConcurrencyTracker:
 
     def handoff_recv(self, token: Any) -> None:
         """Join the clock published under ``token``, if any."""
-        if self.mode != "hb":
-            return
         sent = self._handoffs.pop(token, None)
         if sent is not None:
             sender, epoch, vc = sent
@@ -579,8 +563,7 @@ class ConcurrencyTracker:
         if state is None:
             state = _VarState()
             self._vars[key] = state
-        if self.mode == "hb":
-            self._check_hb(state, key, kind, actor, where)
+        self._check_hb(state, key, kind, actor, where)
         self._check_lockset(state, key, kind, actor, where, guard)
         if guard is not None:
             self._release_edge(actor, guard)
@@ -708,7 +691,7 @@ class ConcurrencyTracker:
             "concurrency",
             f"checked {self.accesses} shared-state accesses across "
             f"{self.sync_ops} sync operations and "
-            f"{len(self._actors) + 1} actors ({self.mode} mode)")
+            f"{len(self._actors) + 1} actors")
         return report
 
     def _emit(self, kind: str, actor: _Actor, resource: str) -> None:

@@ -151,11 +151,9 @@ class RunContext:
         self.timeseries = sampler.start()
         return sampler
 
-    def attach_concurrency(self, mode: str = "hb"):
+    def attach_concurrency(self):
         """Install the happens-before/lockset/deadlock tracker.
 
-        ``mode="hb"`` is the full vector-clock race detector;
-        ``mode="lockset"`` the cheaper lockset+deadlock-only pass.
         Installing hooks the runtime's instrumentation sites process-
         wide, replacing any tracker a previous context attached (one
         context is analyzed at a time). Returns the tracker.
@@ -165,8 +163,8 @@ class RunContext:
         # Local import: repro.analysis sits above core in the layering.
         from repro.analysis.concurrency import ConcurrencyTracker
 
-        tracker = ConcurrencyTracker(self.engine, mode=mode,
-                                     runlog=self.runlog, ctx=self)
+        tracker = ConcurrencyTracker(self.engine, runlog=self.runlog,
+                                     ctx=self)
         tracker.install()
         self.concurrency = tracker
         return tracker
@@ -209,7 +207,9 @@ def make_context(machine_builder, *args, seed: int = 0,
     if timeseries_interval_ms is not None:
         ctx.attach_timeseries(interval_ms=timeseries_interval_ms)
     if concurrency is not None:
-        ctx.attach_concurrency(mode=concurrency)
+        if concurrency != "hb":
+            raise ValueError(f"unknown concurrency mode {concurrency!r}")
+        ctx.attach_concurrency()
     if serving is not None:
         ctx.attach_serving(serving)
     return ctx

@@ -43,10 +43,6 @@ DEFAULT_TIMESERIES_CAPACITY = 512
 #: harness uses is 5 ms.
 MIN_TIMESERIES_INTERVAL_MS = 1.0
 
-#: ``--concurrency`` values and the tracker mode each selects.
-_CONCURRENCY_MODES = {"hb": "hb", "1": "hb", "lockset": "lockset"}
-
-
 class RunOptionsError(ValueError):
     """A run-feature flag failed validation; the message names it."""
 
@@ -62,7 +58,7 @@ class RunOptions:
     faults: Optional[FaultPlan] = None
     #: ``(interval_ms, capacity)`` of a windowed metrics sampler.
     timeseries: Optional[Tuple[float, int]] = None
-    #: Concurrency tracker mode: ``"hb"`` or ``"lockset"``.
+    #: ``"hb"`` attaches the concurrency tracker.
     concurrency: Optional[str] = None
     #: Overrides applied to every served-model spec.
     serving: Optional[ServingConfig] = None
@@ -75,7 +71,7 @@ class RunOptions:
         """Validate the raw flag strings (None = flag absent).
 
         ``faults`` is a plan JSON path, ``timeseries`` is
-        ``MS[:capacity]``, ``concurrency`` is ``hb`` or ``lockset`` and
+        ``MS[:capacity]``, ``concurrency`` is ``hb`` (or ``1``) and
         ``serving`` is the ``key=value,...`` override spec.
         """
         from repro.faults.plan import FaultPlan, FaultPlanError
@@ -89,11 +85,11 @@ class RunOptions:
         if timeseries is not None:
             sampling = _parse_timeseries(timeseries)
         if concurrency is not None:
-            mode = _CONCURRENCY_MODES.get(concurrency)
-            if mode is None:
+            # A bare ``--concurrency`` flag arrives as "1".
+            if concurrency not in ("hb", "1"):
                 raise RunOptionsError(
-                    f"--concurrency: expected 'hb' or 'lockset', got "
-                    f"{concurrency!r}")
+                    f"--concurrency: expected 'hb', got {concurrency!r}")
+            mode = "hb"
         try:
             config = None if serving is None else ServingConfig.parse(serving)
         except ServingConfigError as exc:
@@ -113,7 +109,7 @@ class RunOptions:
             interval_ms, capacity = self.timeseries
             ctx.attach_timeseries(interval_ms=interval_ms, capacity=capacity)
         if self.concurrency is not None and ctx.concurrency is None:
-            ctx.attach_concurrency(mode=self.concurrency)
+            ctx.attach_concurrency()
         if self.serving is not None and ctx.serving is None:
             ctx.attach_serving(self.serving)
 

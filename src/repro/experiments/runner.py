@@ -168,8 +168,7 @@ def main(argv=None) -> int:
                         default=None, metavar="MODE",
                         help="track races/locksets/deadlocks on every "
                              "colocation run (repro.analysis.concurrency); "
-                             "MODE is 'hb' (default: full happens-before) "
-                             "or 'lockset' (cheaper); with --sanitize, "
+                             "MODE is 'hb' (the default); with --sanitize, "
                              "ERROR findings fail the invocation")
     parser.add_argument("--serving", metavar="SPEC", default=None,
                         help="serving-config overrides for every "

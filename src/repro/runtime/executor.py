@@ -14,6 +14,7 @@ so no work is lost (Section 3.3).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.graph.cost_model import (
@@ -23,11 +24,9 @@ from repro.graph.cost_model import (
 )
 from repro.graph.graph import Graph, Node
 from repro.graph.ops import CPU_OP_PARALLELISM, OpKind
-from repro.hw.cpu import CpuDevice
 from repro.hw.gpu import GpuDevice
 from repro.hw.kernels import KernelLaunch
 from repro.sim import instrument
-from repro.sim.errors import EventCancelled
 from repro.sim.events import Event
 from repro.runtime.rendezvous import Rendezvous
 from repro.runtime.threadpool import Task, ThreadPool, Worker
@@ -44,12 +43,6 @@ EXECUTOR_DISPATCH_MS = 0.06
 RECURRENT_DISPATCH_MS = 0.5
 # Relative execution-time jitter applied to every op (lognormal sigma).
 EXECUTION_JITTER_SIGMA = 0.03
-
-# Sentinel: node completion will be delivered by a kernel callback, not
-# by the worker (GPU launches are asynchronous — the worker is freed as
-# soon as the kernel is in the stream, like TF's executor threads).
-_DEFERRED = object()
-
 
 class ExecutorRun:
     """Mutable state of one in-flight executor invocation.
@@ -250,7 +243,7 @@ class Executor:
         run.aborted = True
         pool.cancel(lambda task: getattr(task, "run_ref", None) is run)
         if self.is_gpu:
-            self.device.cancel_queued(self._context_name(run))
+            self.device.cancel_queued(self.job)
         if run.active > 0:
             run._quiesced = self.engine.event()
             yield run._quiesced
@@ -260,9 +253,6 @@ class Executor:
     # ------------------------------------------------------------------
     # Node execution
     # ------------------------------------------------------------------
-    def _context_name(self, run: ExecutorRun) -> str:
-        return f"{self.job}"
-
     def _make_task(self, run: ExecutorRun, pool: ThreadPool,
                    node: Node) -> Task:
         task = Task(
@@ -273,25 +263,95 @@ class Executor:
 
     def _node_body(self, run: ExecutorRun, pool: ThreadPool, node: Node,
                    worker: Worker):
-        if run.aborted or node.node_id in run.completed:
+        """Run one node in one generator frame.
+
+        ``run.active`` counts the node from its first phase until it
+        finishes, so :meth:`abort` waits for it. A GPU node returns as
+        soon as its kernel is in the stream, leaving ``active`` raised:
+        :meth:`_on_kernel_done` finishes it, as TF's executor frees its
+        thread at launch.
+        """
+        node_id = node.node_id
+        if run.aborted or node_id in run.completed:
             self._maybe_quiesce(run)
             return
+        op = node.op
+        kind = op.kind
+        cpu = self.machine.cpu
         run.active += 1
         try:
-            finished = yield from self._execute(run, pool, node, worker)
+            if kind is OpKind.SEND:
+                # Deposit the tensor host-side; the receiver pays the
+                # copy to wherever it lives *now* (supports migration).
+                yield from cpu.execute(0.005, label=op.name,
+                                       context=self.job)
+                yield self.rendezvous.send(
+                    run.scope, op.attrs["channel"], op.attrs["nbytes"])
+            elif kind is OpKind.RECV:
+                channel = op.attrs["channel"]
+                token = yield self.rendezvous.recv(run.scope, channel)
+                if self.device.name != cpu.name:
+                    # Route-aware HtoD: one PCIe hop on a single machine,
+                    # host -> network -> remote PCIe when the executor
+                    # version lives on another node.
+                    nbytes = token if isinstance(token, int) \
+                        else op.attrs.get("nbytes", 1)
+                    route = self.machine.route(cpu.name, self.device.name)
+                    yield route.transfer(nbytes, n_tensors=1,
+                                         label=f"HtoD/{self.job}")
+                if run.aborted:
+                    # The node will not be marked completed: put the
+                    # tensor back so the resumed run's RECV finds it
+                    # instead of blocking on an empty channel forever.
+                    self.rendezvous.send(run.scope, channel, token)
+            elif self.is_gpu:
+                # Host-side dispatch: dependency resolution + kernel setup.
+                yield from cpu.execute(self._dispatch_ms[node_id],
+                                       label=self._dispatch_labels[node_id],
+                                       context=self.job)
+                if not run.aborted:
+                    cost = self._costs[node_id]
+                    work_ms = self._jittered(cost.work_ms, node_id)
+                    injector = self.machine.faults
+                    if injector is not None:
+                        fault = injector.kernel_fault(self.job,
+                                                      self.device.name)
+                        if fault is not None:
+                            stall_ms, factor = fault
+                            work_ms = work_ms * factor + stall_ms
+                    done = self.device.launch(KernelLaunch(
+                        name=node.name, context=self.job, work_ms=work_ms,
+                        occupancy=cost.occupancy, stream=0))
+                    tracker = instrument.TRACKER
+                    if tracker is not None:
+                        tracker.handoff_send(("kernel", id(done)))
+                    # A partial, not a lambda: a closure would turn the
+                    # body's locals into cells for every node.
+                    done.callbacks.append(
+                        partial(self._on_kernel_done, run, pool, node))
+                    return
+            else:
+                cost_ms = self._jittered(self._costs[node_id], node_id)
+                if op.flops > 0 and not op.is_pipeline_op:
+                    # MKL intra-op parallelism: the cost model assumes
+                    # CPU_OP_PARALLELISM threads; a smaller pool
+                    # (SwitchFlow's temporary pool) runs the op
+                    # proportionally slower — the Section 3.3
+                    # isolation-vs-performance tradeoff.
+                    threads = max(1, min(CPU_OP_PARALLELISM,
+                                         len(worker.pool.workers)))
+                    cost_ms *= CPU_OP_PARALLELISM / threads
+                yield from cpu.execute(cost_ms, label=node.name,
+                                       context=self.job,
+                                       data=op.is_pipeline_op)
         except BaseException:
             run.active -= 1
             self._maybe_quiesce(run)
             raise
-        if finished is _DEFERRED:
-            # Kernel in flight; _on_kernel_done owns the rest. `active`
-            # stays raised so abort() waits for the drain.
-            return
         run.active -= 1
         self._maybe_quiesce(run)
-        if not finished or run.aborted:
-            return
-        self._complete_node(run, pool, node, worker)
+        if not run.aborted:
+            self._complete_node(run, pool, node, worker)
 
     def _complete_node(self, run: ExecutorRun, pool: ThreadPool,
                        node: Node, worker: Optional[Worker]) -> None:
@@ -357,29 +417,22 @@ class Executor:
             in_deg[sid] = remaining
             if remaining > 0:
                 continue
+            task = self._make_task(run, pool, successor)
             if worker is not None and not expensive:
                 # Inexpensive successors run on the parent's worker
                 # (Figure 1's local-queue fast path).
                 if ready_local is None:
-                    ready_local = [successor]
+                    ready_local = [task]
                 else:
-                    ready_local.append(successor)
+                    ready_local.append(task)
             elif ready_pool is None:
-                ready_pool = [successor]
+                ready_pool = [task]
             else:
-                ready_pool.append(successor)
+                ready_pool.append(task)
         if ready_local is not None:
-            if len(ready_local) == 1:
-                worker.push_front(self._make_task(run, pool, ready_local[0]))
-            else:
-                worker.push_front_batch(
-                    [self._make_task(run, pool, n) for n in ready_local])
+            worker.push_front(ready_local)
         if ready_pool is not None:
-            if len(ready_pool) == 1:
-                pool.submit(self._make_task(run, pool, ready_pool[0]))
-            else:
-                pool.submit_batch(
-                    [self._make_task(run, pool, n) for n in ready_pool])
+            pool.submit(ready_pool)
 
     def _maybe_quiesce(self, run: ExecutorRun) -> None:
         if (run.aborted and run.active == 0
@@ -394,101 +447,3 @@ class Executor:
         if stream is None:
             return value
         return value * stream.next()
-
-    def _execute(self, run: ExecutorRun, pool: ThreadPool, node: Node,
-                 worker: Worker):
-        """Device-specific node execution.
-
-        Returns True when the node finished synchronously, False when it
-        was aborted, or the ``_DEFERRED`` sentinel when a GPU kernel is
-        in flight and completion arrives via callback.
-        """
-        op = node.op
-        cpu = self.machine.cpu
-
-        if op.kind is OpKind.SEND:
-            # Deposit the tensor host-side; the receiver pays the copy
-            # to wherever it lives *now* (supports migration).
-            yield from cpu.execute(0.005, label=op.name, context=self.job)
-            yield self.rendezvous.send(
-                run.scope, op.attrs["channel"], op.attrs["nbytes"])
-            return True
-
-        if op.kind is OpKind.RECV:
-            try:
-                token = yield self.rendezvous.recv(
-                    run.scope, op.attrs["channel"])
-            except EventCancelled:
-                return False
-            nbytes = token if isinstance(token, int) \
-                else op.attrs.get("nbytes", 1)
-            if self.device.name != cpu.name:
-                # Route-aware HtoD: one PCIe hop on a single machine,
-                # host -> network -> remote PCIe when the executor
-                # version lives on another node.
-                route = self.machine.route(cpu.name, self.device.name)
-                try:
-                    yield route.transfer(nbytes, n_tensors=1,
-                                         label=f"HtoD/{self.job}")
-                except EventCancelled:
-                    # The tensor was consumed but the node will not be
-                    # marked completed: put it back so the resumed run's
-                    # RECV finds it instead of blocking on an empty
-                    # channel forever.
-                    self.rendezvous.send(run.scope, op.attrs["channel"],
-                                         token)
-                    return False
-            if run.aborted:
-                self.rendezvous.send(run.scope, op.attrs["channel"],
-                                     token)
-                return False
-            return True
-
-        if self.is_gpu:
-            return (yield from self._execute_gpu(run, pool, node))
-        cost_ms = self._jittered(self._costs[node.node_id], node.node_id)
-        if op.flops > 0 and not op.is_pipeline_op:
-            # MKL intra-op parallelism: the cost model assumes
-            # CPU_OP_PARALLELISM threads; a smaller pool (SwitchFlow's
-            # temporary pool) runs the op proportionally slower — the
-            # Section 3.3 isolation-vs-performance tradeoff.
-            threads = max(1, min(CPU_OP_PARALLELISM,
-                                 len(worker.pool.workers)))
-            cost_ms *= CPU_OP_PARALLELISM / threads
-        yield from cpu.execute(cost_ms, label=node.name, context=self.job,
-                               data=op.is_pipeline_op)
-        return True
-
-    def _execute_gpu(self, run: ExecutorRun, pool: ThreadPool, node: Node):
-        cpu = self.machine.cpu
-        # Host-side dispatch: dependency resolution + kernel setup.
-        yield from cpu.execute(self._dispatch_ms[node.node_id],
-                               label=self._dispatch_labels[node.node_id],
-                               context=self.job)
-        if run.aborted:
-            return False
-        cost = self._costs[node.node_id]
-        work_ms = self._jittered(cost.work_ms, node.node_id)
-        injector = self.machine.faults
-        if injector is not None:
-            fault = injector.kernel_fault(self.job, self.device.name)
-            if fault is not None:
-                stall_ms, factor = fault
-                work_ms = work_ms * factor + stall_ms
-        kernel = KernelLaunch(
-            name=node.name,
-            context=self._context_name(run),
-            work_ms=work_ms,
-            occupancy=cost.occupancy,
-            stream=0,
-        )
-        # Asynchronous launch: the worker is released immediately; node
-        # completion (and successor scheduling) rides the kernel's
-        # completion callback, as in TF's executor.
-        done = self.device.launch(kernel)
-        tracker = instrument.TRACKER
-        if tracker is not None:
-            tracker.handoff_send(("kernel", id(done)))
-        done.callbacks.append(
-            lambda event: self._on_kernel_done(run, pool, node, event))
-        return _DEFERRED

@@ -66,24 +66,11 @@ class Worker:
     def idle(self) -> bool:
         return self._wakeup is not None
 
-    def push_front(self, task: Task) -> None:
-        """Queue a task to run next (inexpensive-successor fast path)."""
-        tracker = instrument.TRACKER
-        if tracker is not None:
-            tracker.on_task_queued(self.pool, task)
-        self.local.appendleft(task)
-        pool = self.pool
-        pool._queued += 1
-        pool._observe_queue_depth()
-        self._wake()
+    def push_front(self, tasks: List[Task]) -> None:
+        """Queue tasks to run next (inexpensive-successor fast path).
 
-    def push_front_batch(self, tasks: List[Task]) -> None:
-        """Queue several tasks to run next, in order.
-
-        Equivalent to ``push_front`` per task in sequence (the first task
-        of ``tasks`` ends up running last among them — the same LIFO
-        stacking the per-task path produces) but pays the queue-depth
-        observation and the wakeup check once per batch.
+        The first task of ``tasks`` ends up running last among them: the
+        same LIFO stacking as pushing each task to the front in turn.
         """
         tracker = instrument.TRACKER
         if tracker is not None:
@@ -202,22 +189,12 @@ class ThreadPool:
             self._c_steals.inc()
 
     # ------------------------------------------------------------------
-    def submit(self, task: Task) -> None:
-        """Dispatch a task: prefer an idle worker, else shortest queue."""
-        for worker in self.workers:
-            if worker.idle and not worker.local:
-                worker.push_back(task)
-                return
-        target = min(self.workers, key=lambda w: len(w.local))
-        target.push_back(task)
+    def submit(self, tasks: List[Task]) -> None:
+        """Dispatch tasks in order: each goes to an idle worker with an
+        empty queue, else to the shortest queue.
 
-    def submit_batch(self, tasks: List[Task]) -> None:
-        """Dispatch a completion wave's ready frontier in one call.
-
-        Placement is bit-identical to calling :meth:`submit` once per
-        task in order (each placement decision sees the queues left by
-        the previous one); only the bookkeeping — queue-depth gauge and
-        wakeup checks — is paid per batch instead of per task.
+        Each placement sees the queues left by the previous one; the
+        queue-depth gauge is set once per call.
         """
         workers = self.workers
         tracker = instrument.TRACKER

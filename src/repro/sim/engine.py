@@ -205,7 +205,11 @@ class Engine:
     # ------------------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
-        """Place a triggered event on the agenda ``delay`` ms from now."""
+        """Place a triggered event on the agenda ``delay`` ms from now.
+
+        Raises :class:`ValueError` when the fire time would be in the
+        past or NaN.
+        """
         now = self._now
         when = now + delay
         # Lane choice keys on the *computed* fire time: a tiny positive
@@ -225,6 +229,9 @@ class Engine:
             raise SimulationError(
                 f"the engine supports URGENT/NORMAL priorities, "
                 f"got {priority}")
+        if not when > now:  # a negative or NaN delay
+            raise ValueError(
+                f"cannot schedule an event at {when} (now={now})")
         bucket = calendar.get(when)
         if bucket is None:
             bucket = calendar[when] = deque()
@@ -303,9 +310,10 @@ class Engine:
                 stop_event.callbacks.append(self._stop_on)
             else:
                 horizon = float(until)
-                if horizon < self._now:
+                if not horizon >= self._now:  # in the past, or NaN
                     raise ValueError(
-                        f"until={horizon} is in the past (now={self._now})")
+                        f"until={horizon} is not a time at or after "
+                        f"now={self._now}")
 
         try:
             self._loop(horizon)

@@ -34,9 +34,13 @@ class HeapEngine(Engine):
 
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
+        now = self._now
+        when = now + delay
+        if not when >= now:  # a negative or NaN delay
+            raise ValueError(
+                f"cannot schedule an event at {when} (now={now})")
         self._sequence += 1
-        heapq.heappush(self._heap, (self._now + delay, priority,
-                                    self._sequence, event))
+        heapq.heappush(self._heap, (when, priority, self._sequence, event))
 
     def peek(self) -> float:
         return self._heap[0][0] if self._heap else Infinity

@@ -35,9 +35,9 @@ def _unhook_tracker():
     instrument.clear_tracker()
 
 
-def tracked_engine(mode="hb"):
+def tracked_engine():
     engine = Engine()
-    tracker = ConcurrencyTracker(engine, mode=mode).install()
+    tracker = ConcurrencyTracker(engine).install()
     return engine, tracker
 
 
@@ -158,7 +158,7 @@ class TestRaceDetection:
                       body=lambda worker, index=index: body(worker, index))
                  for index in range(5)]
         for task in tasks:
-            pool.submit(task)
+            pool.submit([task])
         assert pool.cancel(lambda task: task is not tasks[0]) == 4
         engine.run()
         assert ran == [0]
@@ -169,27 +169,35 @@ class TestRaceDetection:
 # Lockset (Eraser) pass
 # ---------------------------------------------------------------------------
 class TestLockset:
-    def test_lockset_mode_warns_without_vector_clocks(self):
-        engine, tracker = tracked_engine(mode="lockset")
+    def test_ordered_unguarded_writes_warn_without_a_race(self):
+        engine, tracker = tracked_engine()
+        lock = Lock(engine)
 
-        def writer(delay):
-            yield engine.timeout(delay)
+        def first():
+            yield engine.timeout(1)
+            tracker.access("unguarded", "write")
+            yield lock.acquire()
+            lock.release()
+
+        def second():
+            yield engine.timeout(2)
+            yield lock.acquire()
+            lock.release()
             tracker.access("unguarded", "write")
 
-        engine.process(writer(1))
-        engine.process(writer(2))
+        engine.process(first())
+        engine.process(second())
         engine.run()
         report = tracker.report()
-        # This interleaving is HB-ordered in wall time, but the
-        # discipline violation is still caught — and no race is
-        # reported because lockset mode keeps no clocks.
+        # The lock orders the two writes, so there is no race, but
+        # neither write holds it: the discipline violation is caught.
         assert not findings(tracker, "concurrency.race")
         locksets = [f for f in report if f.check == "concurrency.lockset"]
         assert len(locksets) == 1
         assert locksets[0].severity is Severity.WARNING
 
     def test_single_actor_never_reported(self):
-        engine, tracker = tracked_engine(mode="lockset")
+        engine, tracker = tracked_engine()
 
         def writer():
             for _ in range(3):
@@ -401,9 +409,9 @@ class TestHarnessIntegration:
 
     def test_env_attaches_and_selects_mode(self):
         ctx = make_context(v100_server, 1, seed=1)
-        RunOptions.parse(concurrency="lockset").attach(ctx, policy=None)
+        RunOptions.parse(concurrency="1").attach(ctx, policy=None)
         tracker = ctx.concurrency
-        assert tracker.mode == "lockset"
+        assert tracker is not None
         # The attached tracker wins; a second attach is a no-op.
         RunOptions.parse(concurrency="hb").attach(ctx, policy=None)
         assert ctx.concurrency is tracker
@@ -431,8 +439,8 @@ class TestHarnessIntegration:
             ctx.attach_concurrency()
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ConcurrencyTracker(Engine(), mode="tsan")
+        with pytest.raises(ValueError, match="lockset"):
+            make_context(v100_server, 1, seed=1, concurrency="lockset")
 
 
 # ---------------------------------------------------------------------------

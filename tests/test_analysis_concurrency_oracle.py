@@ -193,8 +193,8 @@ def run_program(program, seed: int = 0) -> Tee:
                 access("read", op[1], False, token)
             elif kind == "task":
                 _, var, delay = op
-                pool.submit(Task(name=where, job=f"p{pid}",
-                                 body=task_body(var, delay, where)))
+                pool.submit([Task(name=where, job=f"p{pid}",
+                                  body=task_body(var, delay, where))])
             elif kind == "cancel":
                 pool.cancel(lambda task, job=f"p{pid}": task.job == job)
             elif kind == "fork":

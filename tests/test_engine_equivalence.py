@@ -58,7 +58,9 @@ def run_program(engine_cls, program, horizons=()):
     of timing out), which exercises the due-now FIFO against the heap.
     A ``victim`` that is not ``None`` then interrupts process
     ``victim``, which exercises the URGENT lane; an interrupted process
-    logs the interrupt and goes on with its next instruction.
+    logs the interrupt and goes on with its next instruction. A
+    negative or NaN ``delay`` must be rejected when the timeout is made;
+    the process logs the rejection and goes on.
 
     The run goes in ``run(until=h)`` chunks, one per horizon, which
     snap the clock to each horizon between chunks, before it runs to
@@ -77,7 +79,12 @@ def run_program(engine_cls, program, horizons=()):
                     if not target.triggered:
                         yield target
                 else:
-                    yield engine.timeout(delay)
+                    try:
+                        timeout = engine.timeout(delay)
+                    except ValueError:
+                        log.append((engine.now, pid, step, "rejected"))
+                        continue
+                    yield timeout
                     if signal is not None:
                         event = events[signal % n_events]
                         if not event.triggered:
@@ -107,7 +114,7 @@ def run_program(engine_cls, program, horizons=()):
 
 instruction = st.tuples(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False,
-              allow_infinity=False),
+              allow_infinity=False) | st.sampled_from([-1.0, float("nan")]),
     st.one_of(st.none(), st.integers(min_value=-8, max_value=8)),
     st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
 ) if HAVE_HYPOTHESIS else None
@@ -129,9 +136,9 @@ def test_fixed_program_equivalence():
     # fired by other processes, interrupts and horizon chunks.
     program = [
         [(0.0, 1, None), (5.0, None, 2), (0.0, 2, None)],
-        [(0.0, -1, None), (0.0, 0, None)],
+        [(0.0, -1, None), (0.0, 0, None), (float("nan"), None, None)],
         [(5.0, None, None), (0.0, -3, 3), (1.0, None, None)],
-        [(0.0, -2, None), (2.0, 1, 0)],
+        [(0.0, -2, None), (-1.0, 1, None), (2.0, 1, 0)],
     ]
     horizons = (0.0, 3.0, 5.0)
     assert (run_program(Engine, program, horizons)

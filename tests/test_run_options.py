@@ -42,11 +42,11 @@ class TestParse:
     def test_every_flag(self):
         options = RunOptions.parse(
             sanitize=True, faults=EXAMPLE_PLAN, timeseries="25:64",
-            concurrency="lockset", serving="rate=60,kind=bursty")
+            concurrency="hb", serving="rate=60,kind=bursty")
         assert options.sanitize
         assert options.faults == FaultPlan.load(EXAMPLE_PLAN)
         assert options.timeseries == (25.0, 64)
-        assert options.concurrency == "lockset"
+        assert options.concurrency == "hb"
         assert options.serving == ServingConfig(rate_rps=60.0,
                                                 trace_kind="bursty")
 
@@ -62,6 +62,7 @@ class TestParse:
         ("timeseries", "1e-300"), ("timeseries", "0.5"),
         ("serving", "rate=nan"), ("serving", "timeout=inf"),
         ("serving", "slo=-inf"), ("concurrency", "tsan"),
+        ("concurrency", "lockset"),
         ("faults", "/nonexistent/plan.json"),
     ])
     def test_bad_value_names_its_flag(self, flag, value):
@@ -117,6 +118,7 @@ class TestCliExitTwo:
         (["--timeseries", "nan"], "--timeseries"),
         (["--serving", "rate=nan"], "--serving"),
         (["--jobs", "-3"], "--jobs"),
+        (["--concurrency", "lockset"], "--concurrency"),
     ])
     def test_runner(self, capsys, argv, flag):
         assert runner_main(["fig2", "--quick"] + argv) == 2
@@ -256,7 +258,7 @@ class TestActivation:
     def test_fanout_workers_see_the_parent_options(self):
         options = RunOptions.parse(
             sanitize=True, faults=EXAMPLE_PLAN, timeseries="100",
-            concurrency="lockset", serving="rate=60")
+            concurrency="hb", serving="rate=60")
         with use_options(options):
             results = fanout_map(_options_seen_by_worker, [0, 1], jobs=2)
         assert [seen for seen, _pid in results] == [options, options]
@@ -268,7 +270,7 @@ class TestExplicitAttachWins:
         explicit_plan = FaultPlan()
         explicit_serving = ServingConfig(max_batch=2)
         ctx = make_context(v100_server, 1, seed=0, fault_plan=explicit_plan,
-                           timeseries_interval_ms=5.0, concurrency="lockset",
+                           timeseries_interval_ms=5.0, concurrency="hb",
                            serving=explicit_serving)
         injector, sampler, tracker = ctx.faults, ctx.timeseries, \
             ctx.concurrency
@@ -283,7 +285,6 @@ class TestExplicitAttachWins:
             assert ctx.timeseries is sampler
             assert ctx.timeseries.interval_ms == 5.0
             assert ctx.concurrency is tracker
-            assert tracker.mode == "lockset"
             assert ctx.serving is explicit_serving
         finally:
             finalize_concurrency(ctx)

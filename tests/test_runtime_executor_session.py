@@ -80,6 +80,29 @@ class TestSessionExecution:
         cpu_ms = compute_time(ctx.machine.cpu.name, "cpu-job")
         assert cpu_ms > 3 * gpu_ms
 
+    def test_node_bodies_run_one_frame_deep(self, session_setup):
+        # A resumed worker walks its loop, the node body and at most the
+        # CPU op below it: no per-kind helper generators in between.
+        ctx, session = session_setup
+        chains = set()
+
+        def sampler(env):
+            while True:
+                yield env.timeout(0.05)
+                for pool in (ctx.global_pool, ctx.data_pool):
+                    for worker in pool.workers:
+                        names = []
+                        gen = worker.process.generator
+                        while gen is not None:
+                            names.append(gen.gi_code.co_name)
+                            gen = gen.gi_yieldfrom
+                        chains.add(tuple(names))
+
+        ctx.engine.process(sampler(ctx.engine))
+        assert _run_iteration(ctx, session) == "completed"
+        assert ("_loop", "_node_body", "execute") in chains
+        assert max(len(chain) for chain in chains) == 3
+
     def test_transient_memory_freed_after_run(self, session_setup):
         ctx, session = session_setup
         gpu = ctx.machine.gpu(0)
@@ -147,6 +170,43 @@ class TestAbortResume:
         assert outcome["abort_done_at"] < 115.0
         # The resumed run finished the remaining work on the other GPU.
         assert ctx.machine.gpu(1).kernels_completed > 0
+
+    def test_abort_during_recv_transfer_puts_the_tensor_back(
+            self, session_setup):
+        ctx, session = session_setup
+        gpu = ctx.machine.gpu(0).name
+        seen = {}
+
+        def driver(env):
+            yield ctx.resources.ensure_state(session.job, gpu)
+            yield from session.run_cpu_stage(ctx.data_pool, 0)
+            run = session.start_gpu_stage(ctx.global_pool, gpu, 0)
+            # The RECV node has taken the batch off its channel and is
+            # inside the ~0.5 ms HtoD copy.
+            yield env.timeout(0.001)
+            seen["pending_at_abort"] = ctx.rendezvous.pending_channels()
+            seen["active_at_abort"] = run.active
+            yield from session.abort_gpu_stage()
+            seen["status"] = run.status
+            seen["active"] = run.active
+            seen["pending"] = ctx.rendezvous.pending_channels()
+            session.finish_gpu_stage(run, 0)
+            resumed = session.start_gpu_stage(
+                ctx.global_pool, gpu, 0, completed=run.completed)
+            outcome = yield resumed.done
+            session.finish_gpu_stage(resumed, 0)
+            return outcome
+
+        process = ctx.engine.process(driver(ctx.engine))
+        assert ctx.engine.run(until=process) == "completed"
+        assert seen["pending_at_abort"] == 0
+        assert seen["active_at_abort"] == 1
+        assert seen["status"] == "aborted"
+        assert seen["active"] == 0
+        # The aborted RECV returned the batch to its channel, so the
+        # resumed run's RECV found it instead of blocking forever.
+        assert seen["pending"] == 1
+        assert session.iterations_completed == 1
 
     def test_abort_with_no_run_is_noop(self, session_setup):
         ctx, session = session_setup

@@ -35,7 +35,7 @@ def test_tasks_execute_and_complete(pool_setup):
     engine, cpu, pool = pool_setup
     log = []
     for index in range(8):
-        pool.submit(make_task(engine, cpu, log, f"t{index}"))
+        pool.submit([make_task(engine, cpu, log, f"t{index}")])
     engine.run()
     assert len(log) == 8
     # 8 tasks of 1 ms on 4 workers -> two waves.
@@ -46,7 +46,7 @@ def test_submit_prefers_idle_workers(pool_setup):
     engine, cpu, pool = pool_setup
     log = []
     for index in range(4):
-        pool.submit(make_task(engine, cpu, log, f"t{index}"))
+        pool.submit([make_task(engine, cpu, log, f"t{index}")])
     engine.run()
     assert {entry[2] for entry in log} == {0, 1, 2, 3}
 
@@ -66,7 +66,7 @@ def test_cancel_removes_queued_tasks(pool_setup):
     log = []
     # Saturate all workers with long tasks, then queue victims.
     for index in range(4):
-        pool.submit(make_task(engine, cpu, log, f"long{index}", cost=10.0))
+        pool.submit([make_task(engine, cpu, log, f"long{index}", cost=10.0)])
     victims = [make_task(engine, cpu, log, f"victim{i}", job="victim")
                for i in range(3)]
     pool.submit_many(victims)
@@ -82,8 +82,8 @@ def test_cancel_removes_queued_tasks(pool_setup):
 def test_cancel_cannot_stop_running_task(pool_setup):
     engine, cpu, pool = pool_setup
     log = []
-    pool.submit(make_task(engine, cpu, log, "running", cost=10.0,
-                          job="victim"))
+    pool.submit([make_task(engine, cpu, log, "running", cost=10.0,
+                           job="victim")])
     engine.run(until=1.0)
     assert pool.cancel(lambda task: task.job == "victim") == 0
     engine.run()
@@ -108,10 +108,15 @@ def test_push_front_places_task_at_queue_head(pool_setup):
     log = []
     worker = pool.workers[0]
     worker.push_back(make_task(engine, cpu, log, "back"))
-    worker.push_front(make_task(engine, cpu, log, "front"))
+    worker.push_front([make_task(engine, cpu, log, "front")])
     assert [task.name for task in worker.local] == ["front", "back"]
+    # Several tasks stack as if pushed to the front one at a time.
+    worker.push_front([make_task(engine, cpu, log, name)
+                       for name in ("a", "b")])
+    assert [task.name for task in worker.local] == [
+        "b", "a", "front", "back"]
     engine.run()
-    assert len(log) == 2
+    assert len(log) == 4
 
 
 def test_shutdown_interrupts_sleeping_workers(pool_setup):
@@ -133,8 +138,8 @@ def test_zero_workers_rejected(pool_setup):
 # ``pool._queued`` is 0, which is exact only while it counts every entry
 # held in the local queues.
 # ---------------------------------------------------------------------------
-_QUEUE_OPS = ("submit", "submit_batch", "submit_many", "push_front",
-              "push_front_batch", "cancel", "take", "steal", "run")
+_QUEUE_OPS = ("submit", "submit_many", "push_front", "cancel", "take",
+              "steal", "run")
 
 
 @settings(max_examples=100, deadline=None)
@@ -157,15 +162,11 @@ def test_queue_count_matches_local_queues(ops):
     for kind, index, count in ops:
         worker = pool.workers[index]
         if kind == "submit":
-            pool.submit(tasks(1)[0])
-        elif kind == "submit_batch":
-            pool.submit_batch(tasks(count))
+            pool.submit(tasks(count))
         elif kind == "submit_many":
             pool.submit_many(tasks(count))
         elif kind == "push_front":
-            worker.push_front(tasks(1)[0])
-        elif kind == "push_front_batch":
-            worker.push_front_batch(tasks(count))
+            worker.push_front(tasks(count))
         elif kind == "cancel":
             pool.cancel(lambda task: task.task_id % count == 0)
         elif kind == "take":
@@ -184,7 +185,7 @@ def test_idle_wakeup_leaves_rng_untouched(pool_setup):
     log = []
     engine.run()  # every worker goes to sleep on an empty pool
     state = pool._rng.getstate()
-    pool.submit(make_task(engine, cpu, log, "only"))
+    pool.submit([make_task(engine, cpu, log, "only")])
     engine.run()
     assert len(log) == 1
     # The worker that ran the task looked for work again and found none.

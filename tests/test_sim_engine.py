@@ -105,6 +105,37 @@ def test_negative_timeout_rejected(engine):
         engine.timeout(-1.0)
 
 
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_schedule_rejects_past_or_nan_time_at_the_call_site(fast, delay):
+    engine = make_engine(fast)
+    engine.timeout(5.0)
+    engine.run(until=2.0)
+    with pytest.raises(ValueError, match="cannot schedule"):
+        engine.schedule(engine.event(), delay=delay)
+    # Nothing reached the agenda and the clock did not move.
+    assert (engine.now, engine.peek()) == (2.0, 5.0)
+    engine.run()
+    assert engine.now == 5.0
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_nan_timeout_rejected(fast):
+    engine = make_engine(fast)
+    with pytest.raises(ValueError):
+        engine.timeout(float("nan"))
+    assert engine.peek() == float("inf")
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_run_until_nan_rejected(fast):
+    engine = make_engine(fast)
+    engine.timeout(5.0)
+    with pytest.raises(ValueError):
+        engine.run(until=float("nan"))
+    assert (engine.now, engine.peek()) == (0.0, 5.0)
+
+
 def test_unhandled_process_failure_surfaces(engine):
     def bad(env):
         yield env.timeout(1.0)
