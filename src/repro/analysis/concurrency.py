@@ -87,9 +87,9 @@ from repro.analysis.findings import Finding, Report, Severity
 from repro.core.options import current_options
 from repro.sim import instrument
 
-#: Path to append each run's rendered concurrency report to (the CI
-#: artifact hook). Unset means no file is written.
-CONCURRENCY_REPORT_ENV = "REPRO_CONCURRENCY_REPORT"
+#: File under the run's ``--out`` directory that each run's rendered
+#: concurrency report is appended to. No directory, no file.
+CONCURRENCY_REPORT_FILE = "concurrency.txt"
 
 #: Rendered reports held back from the file inside a
 #: :func:`capture_concurrency_reports` block; None outside one.
@@ -755,8 +755,8 @@ def deadlock_from_runlog(records: Iterable[Dict[str, Any]],
 def finalize_concurrency(ctx, label: str = "run") -> Optional[Report]:
     """End-of-run bookkeeping for an attached tracker.
 
-    Uninstalls the hooks, appends the rendered report to
-    ``$REPRO_CONCURRENCY_REPORT`` (when set; inside
+    Uninstalls the hooks, appends the rendered report to the run's
+    ``concurrency.txt`` (with an ``--out`` directory; inside
     :func:`capture_concurrency_reports` it is collected instead), and —
     unless the sanitizer owns metrics export for this run — publishes
     the ``analysis.*`` counts. Safe to call more than once.
@@ -771,7 +771,7 @@ def finalize_concurrency(ctx, label: str = "run") -> Optional[Report]:
         # With --sanitize, analyze_context folds this report in and
         # exports the merged counts; don't double-count findings.
         report.export_metrics(ctx.metrics)
-    if os.environ.get(CONCURRENCY_REPORT_ENV):
+    if current_options().out is not None:
         block = report.render() + "\n\n"
         captured = _CAPTURED_REPORTS.get()
         if captured is None:
@@ -784,7 +784,7 @@ def finalize_concurrency(ctx, label: str = "run") -> Optional[Report]:
 @contextmanager
 def capture_concurrency_reports() -> Iterator[List[str]]:
     """Collect the rendered reports finalized in the block, in run order,
-    instead of appending them to ``$REPRO_CONCURRENCY_REPORT``.
+    instead of appending them to the run's ``concurrency.txt``.
 
     A fan-out worker runs its item under this and ships the blocks back,
     so the parent writes every item's reports in input order
@@ -799,10 +799,12 @@ def capture_concurrency_reports() -> Iterator[List[str]]:
 
 
 def write_concurrency_reports(blocks: Sequence[str]) -> None:
-    """Append rendered report blocks to ``$REPRO_CONCURRENCY_REPORT``."""
-    path = os.environ.get(CONCURRENCY_REPORT_ENV)
-    if path and blocks:
-        with open(path, "a", encoding="utf-8") as handle:
+    """Append rendered report blocks to the run's ``concurrency.txt``."""
+    out = current_options().out
+    if out is not None and blocks:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / CONCURRENCY_REPORT_FILE, "a",
+                  encoding="utf-8") as handle:
             handle.write("".join(blocks))
 
 

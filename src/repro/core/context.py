@@ -9,7 +9,9 @@ worker count equals the host core count, as the paper requires.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator, List, Optional
 
 from repro.graph.cost_model import register_cost_cache_collector
 from repro.hw.machine import Machine
@@ -82,6 +84,9 @@ class RunContext:
         # is what slows two co-located pipelines down (Figures 8-10).
         self._data_pools = {}
         self.data_pool = self.data_pool_for("_shared_")
+        capture = _CAPTURE.get()
+        if capture is not None:
+            capture._add(self)
 
     def data_pool_for(self, job_name: str) -> ThreadPool:
         """The per-job tf.data thread pool (created on first use)."""
@@ -213,3 +218,47 @@ def make_context(machine_builder, *args, seed: int = 0,
     if serving is not None:
         ctx.attach_serving(serving)
     return ctx
+
+
+class ContextCapture:
+    """The contexts built inside one :func:`capture_contexts` block, in
+    build order: the selected one kept whole, every one reduced to a
+    one-line label (its jobs and simulated end time) once it is done."""
+
+    def __init__(self, select: Optional[int] = None) -> None:
+        self.select = select
+        self.selected: Optional[RunContext] = None
+        self.labels: List[str] = []
+        self._last: Optional[RunContext] = None
+
+    def _add(self, ctx: RunContext) -> None:
+        # A context is labelled when the next one is built (experiments
+        # run one to the end before building another) or at block exit.
+        self._label_last()
+        if len(self.labels) == self.select:
+            self.selected = ctx
+        self._last = ctx
+
+    def _label_last(self) -> None:
+        if self._last is not None:
+            jobs = ", ".join(job.name for job in self._last.jobs) or "-"
+            self.labels.append(f"{jobs}  (end {self._last.now:.1f} ms)")
+            self._last = None
+
+
+_CAPTURE: ContextVar[Optional[ContextCapture]] = ContextVar(
+    "context_capture", default=None)
+
+
+@contextmanager
+def capture_contexts(select: Optional[int] = None
+                     ) -> Iterator[ContextCapture]:
+    """Record every :class:`RunContext` built in the block; the
+    ``select``-th (0-based) is kept for inspection after the block."""
+    capture = ContextCapture(select)
+    token = _CAPTURE.set(capture)
+    try:
+        yield capture
+    finally:
+        _CAPTURE.reset(token)
+        capture._label_last()

@@ -1,9 +1,10 @@
-"""Run options: the five cross-cutting run features in one object.
+"""Run options: every run-wide setting in one object.
 
 ``switchflow-experiments --sanitize --faults PLAN --timeseries MS
 --concurrency MODE --serving SPEC`` turns on features that every
-harness run must see, wherever the experiment executes. They travel as
-one frozen :class:`RunOptions`:
+harness run must see, wherever the experiment executes; ``--jobs N``
+and ``--out DIR`` set the fan-out width and where run artifacts go.
+They travel as one frozen :class:`RunOptions`:
 
 * :meth:`RunOptions.parse` is the only validator of the raw flag
   strings; a bad value raises :class:`RunOptionsError` naming the flag,
@@ -11,7 +12,8 @@ one frozen :class:`RunOptions`:
 * :func:`use_options` activates options for a ``with`` block and
   :func:`current_options` reads the active ones. ``fanout_map`` ships
   the active options with each worker payload and the worker activates
-  them, so pool workers see exactly what the parent saw.
+  them with ``jobs=1``, so pool workers see what the parent saw and
+  never fan out again.
 * :meth:`RunOptions.attach` is the one call the harnesses
   (``run_colocation``, ``run_serving``) make. Anything already attached
   to the context explicitly wins over the options.
@@ -27,6 +29,7 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; both sit above core
@@ -49,7 +52,8 @@ class RunOptionsError(ValueError):
 
 @dataclass(frozen=True)
 class RunOptions:
-    """The run features every harness run applies (all off by default)."""
+    """The run-wide settings (features all off, one worker, no output
+    directory by default)."""
 
     #: Verify the paper's trace invariants after every run; ERROR
     #: findings raise :class:`~repro.analysis.integration.SanitizationError`.
@@ -62,17 +66,24 @@ class RunOptions:
     concurrency: Optional[str] = None
     #: Overrides applied to every served-model spec.
     serving: Optional[ServingConfig] = None
+    #: Directory for run artifacts: per-experiment JSON, flight records
+    #: (``flight/``) and concurrency reports (``concurrency.txt``).
+    out: Optional[Path] = None
+    #: Fan-out width of ``fanout_map``; pool workers run with 1.
+    jobs: int = 1
 
     @classmethod
     def parse(cls, sanitize: bool = False, faults: Optional[str] = None,
               timeseries: Optional[str] = None,
               concurrency: Optional[str] = None,
-              serving: Optional[str] = None) -> "RunOptions":
+              serving: Optional[str] = None, out: Optional[str] = None,
+              jobs: int = 1) -> "RunOptions":
         """Validate the raw flag strings (None = flag absent).
 
         ``faults`` is a plan JSON path, ``timeseries`` is
-        ``MS[:capacity]``, ``concurrency`` is ``hb`` (or ``1``) and
-        ``serving`` is the ``key=value,...`` override spec.
+        ``MS[:capacity]``, ``concurrency`` is ``hb`` (or ``1``),
+        ``serving`` is the ``key=value,...`` override spec, ``out`` a
+        directory and ``jobs`` a positive worker count.
         """
         from repro.faults.plan import FaultPlan, FaultPlanError
         from repro.serving.config import ServingConfig, ServingConfigError
@@ -94,8 +105,12 @@ class RunOptions:
             config = None if serving is None else ServingConfig.parse(serving)
         except ServingConfigError as exc:
             raise RunOptionsError(f"--serving: {exc}") from None
+        if jobs < 1:
+            raise RunOptionsError(
+                f"--jobs: expected a positive worker count, got {jobs}")
         return cls(sanitize=bool(sanitize), faults=plan, timeseries=sampling,
-                   concurrency=mode, serving=config)
+                   concurrency=mode, serving=config,
+                   out=None if out is None else Path(out), jobs=jobs)
 
     def attach(self, ctx, policy) -> None:
         """Attach each enabled feature ``ctx`` does not already carry,

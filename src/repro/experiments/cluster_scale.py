@@ -15,17 +15,10 @@ with the existing fault plan applied at rate 1. Reported per cell:
 The 2-node quick cell doubles as the CI smoke job: it must show at
 least one cross-node migration whose latency exceeds every same-node
 one, or the topology model is not doing its job.
-
-Environment knobs:
-
-* ``REPRO_CLUSTER_SCALE_SEED`` — root seed for every cell (default 0).
-* ``REPRO_CLUSTER_SCALE_JSON`` — path to dump the sweep as JSON.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import (
@@ -43,9 +36,6 @@ from repro.graph.placement import GangMember, GangScheduler, place_graph
 from repro.hw.topology import v100_cluster
 from repro.models import get_model
 from repro.workloads import JobSpec, run_colocation
-
-SEED_ENV = "REPRO_CLUSTER_SCALE_SEED"
-JSON_ENV = "REPRO_CLUSTER_SCALE_JSON"
 
 #: Same survival rule as the fault sweep: a request lives if it lands
 #: within this multiple of the fault-free solo mean latency.
@@ -212,10 +202,8 @@ def _run_cell(cell) -> Dict[str, object]:
 
 def run(requests: int = 30, nodes: Sequence[int] = FULL_NODES,
         gpus_per_node: int = GPUS_PER_NODE,
-        seed: Optional[int] = None, plan: Optional[FaultPlan] = None,
-        json_path: Optional[str] = None) -> ExperimentResult:
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
+        seed: int = 0,
+        plan: Optional[FaultPlan] = None) -> ExperimentResult:
     if plan is None:
         plan = current_options().faults or default_plan()
     slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
@@ -238,15 +226,6 @@ def run(requests: int = 30, nodes: Sequence[int] = FULL_NODES,
         "from the gang scheduler (spilled = members placed off their "
         "gang's home node).")
 
-    json_path = json_path or os.environ.get(JSON_ENV)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({"seed": seed, "slo_ms": slo_ms,
-                       "slo_factor": SLO_FACTOR, "plan": payload,
-                       "nodes": list(nodes),
-                       "gpus_per_node": gpus_per_node, "rows": rows},
-                      fh, indent=2)
-            fh.write("\n")
     return result
 
 

@@ -4,15 +4,11 @@ the deterministic multiprocessing fan-out used by the parallel runner."""
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-)
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency import (
     capture_concurrency_reports, write_concurrency_reports,
@@ -76,51 +72,6 @@ class ExperimentResult:
 # exact same output as the sequential one.
 # ---------------------------------------------------------------------------
 
-# Environment knob set by `switchflow-experiments --jobs N`; worker
-# processes force it to 1 so fan-outs never nest.
-JOBS_ENV_VAR = "REPRO_JOBS"
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Effective worker count: explicit arg, else $REPRO_JOBS, else 1."""
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
-        except ValueError:
-            jobs = 1
-    return max(1, int(jobs))
-
-
-@contextmanager
-def jobs_for_block(jobs: Optional[int]) -> Iterator[None]:
-    """Set ``$REPRO_JOBS`` to ``jobs`` for a ``with`` block and put the
-    previous value back on exit (``None`` leaves it untouched)."""
-    if jobs is None:
-        yield
-        return
-    previous = os.environ.get(JOBS_ENV_VAR)
-    os.environ[JOBS_ENV_VAR] = str(jobs)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(JOBS_ENV_VAR, None)
-        else:
-            os.environ[JOBS_ENV_VAR] = previous
-
-
-# Set inside workers: ProcessPoolExecutor children are not daemonic
-# (unlike the old multiprocessing.Pool ones), so nesting is prevented
-# explicitly rather than via the daemon flag.
-_WORKER_ENV = "REPRO_FANOUT_WORKER"
-
-
-def _fanout_worker_init() -> None:
-    # Workers must not fan out again.
-    os.environ[JOBS_ENV_VAR] = "1"
-    os.environ[_WORKER_ENV] = "1"
-
-
 class WorkerCrashError(RuntimeError):
     """A fan-out worker process died without raising a Python error.
 
@@ -141,8 +92,9 @@ class _RemoteTraceback(Exception):
 
 def _capture_call(payload: Tuple[Callable[[Any], Any], Any, RunOptions]
                   ) -> tuple:
-    """Run ``fn(item)`` in the worker under the parent's run options,
-    capturing any exception and the run's concurrency reports.
+    """Run ``fn(item)`` in the worker under the parent's run options
+    (with ``jobs=1``: workers never fan out again), capturing any
+    exception and the run's concurrency reports.
 
     Returns ``(status, value, reports, traceback)``. Exceptions are
     shipped back as (picklable) payloads instead of being raised:
@@ -153,7 +105,7 @@ def _capture_call(payload: Tuple[Callable[[Any], Any], Any, RunOptions]
     fn, item, options = payload
     with capture_concurrency_reports() as reports:
         try:
-            with use_options(options):
+            with use_options(replace(options, jobs=1)):
                 return "ok", fn(item), reports, None
         except BaseException as exc:  # noqa: B036 - re-raised in the parent
             return "err", exc, reports, traceback.format_exc()
@@ -164,12 +116,13 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     """``[fn(item) for item in items]``, fanned across a process pool.
 
     ``fn`` and every item must be picklable (module-level function,
-    plain-data args). Falls back to the serial path when ``jobs`` <= 1,
-    there is at most one item, or we are already inside a pool worker —
-    so callers can use it unconditionally. Output order always matches
-    input order, and so does the order of the items' blocks in
-    ``$REPRO_CONCURRENCY_REPORT``. Each worker call runs under the
-    caller's active :class:`~repro.core.options.RunOptions`.
+    plain-data args). The width is ``jobs``, else the active
+    :class:`~repro.core.options.RunOptions`' ``jobs``; the serial path
+    runs when it is <= 1 or there is at most one item, so callers can
+    use it unconditionally. Output order always matches input order,
+    and so does the order of the items' blocks in the run's
+    ``concurrency.txt``. Each worker call runs under the caller's
+    active options.
 
     Failure semantics: an exception raised by ``fn`` inside a worker is
     re-raised here as itself, with the worker's formatted traceback
@@ -179,18 +132,17 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     pool-internal error.
     """
     items = list(items)
-    jobs = min(resolve_jobs(jobs), len(items))
-    if (jobs <= 1 or os.environ.get(_WORKER_ENV)
-            or multiprocessing.current_process().daemon):
+    options = current_options()
+    jobs = min(options.jobs if jobs is None else jobs, len(items))
+    if jobs <= 1:
         return [fn(item) for item in items]
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else None)
-    options = current_options()
     payloads = [(fn, item, options) for item in items]
     try:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context,
-                                 initializer=_fanout_worker_init) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=context) as pool:
             outcomes = list(pool.map(_capture_call, payloads))
     except BrokenProcessPool as exc:
         raise WorkerCrashError(

@@ -15,17 +15,10 @@ active run options (the runner's ``--faults`` flag) or falls back to a
 moderate built-in. Every cell runs with whatever `repro.analysis`
 enforcement is active, so a sweep under ``--sanitize`` doubles as an
 adversarial proof of the paper's invariants.
-
-Environment knobs (used by the nightly CI matrix):
-
-* ``REPRO_FAULT_SWEEP_SEED`` — root seed for every cell (default 0).
-* ``REPRO_FAULT_SWEEP_JSON`` — path to dump the sweep as JSON.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import MPSPolicy, MultiThreadedTF, SessionTimeSlicing
@@ -42,9 +35,6 @@ from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.workloads import JobSpec, run_colocation
-
-SEED_ENV = "REPRO_FAULT_SWEEP_SEED"
-JSON_ENV = "REPRO_FAULT_SWEEP_JSON"
 
 #: A request survives if it finishes within this multiple of the
 #: stream's fault-free solo mean latency.
@@ -143,10 +133,8 @@ def _run_cell(cell) -> Dict[str, object]:
 
 
 def run(requests: int = 30, rates: Sequence[float] = FULL_RATES,
-        seed: Optional[int] = None, plan: Optional[FaultPlan] = None,
-        json_path: Optional[str] = None) -> ExperimentResult:
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
+        seed: int = 0,
+        plan: Optional[FaultPlan] = None) -> ExperimentResult:
     if plan is None:
         plan = current_options().faults or default_plan()
     slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
@@ -169,14 +157,6 @@ def run(requests: int = 30, rates: Sequence[float] = FULL_RATES,
         "backoff, restart-from-checkpoint, victim re-admission, "
         "degradation to time slicing.")
 
-    json_path = json_path or os.environ.get(JSON_ENV)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({"seed": seed, "slo_ms": slo_ms,
-                       "slo_factor": SLO_FACTOR, "plan": payload,
-                       "rates": list(rates), "rows": rows},
-                      fh, indent=2)
-            fh.write("\n")
     return result
 
 

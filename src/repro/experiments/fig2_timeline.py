@@ -9,10 +9,10 @@ fraction of GPU busy time, and the ASCII timeline itself.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List, Tuple
 
 from repro.baselines import MultiThreadedTF
-from repro.core import JobHandle, make_context
+from repro.core import JobHandle, RunContext, make_context
 from repro.experiments.common import ExperimentResult, solo_throughput
 from repro.hw import v100_server
 from repro.metrics.timeline import serialization_fraction
@@ -24,24 +24,31 @@ PAPER_SOLO_IMAGES_PER_S = 226.0
 PAPER_CORUN_IMAGES_PER_S = 116.0
 
 
-def run(batch: int = 16, iterations: int = 12,
-        seed: int = 0) -> ExperimentResult:
-    model = get_model("ResNet50")
-    solo = solo_throughput(v100_server, (1,), model, batch, True,
-                           iterations=iterations, seed=seed)
-
+def corun(policy_factory: Callable = MultiThreadedTF, batch: int = 16,
+          iterations: int = 12, seed: int = 0
+          ) -> Tuple[RunContext, List[JobHandle]]:
+    """The Figure 2 scenario: two ResNet50 trainers share one V100
+    under ``policy_factory``. Runs it; returns ``(ctx, jobs)``."""
     ctx = make_context(v100_server, 1, seed=seed)
     gpu = ctx.machine.gpu(0)
+    model = get_model("ResNet50")
     jobs = [
         JobHandle(name=f"resnet50-{index}", model=model, batch=batch,
                   training=True, preferred_device=gpu.name)
         for index in range(2)
     ]
-    result_set = run_colocation(ctx, MultiThreadedTF, [
+    run_colocation(ctx, policy_factory, [
         JobSpec(job=job, iterations=iterations) for job in jobs])
+    return ctx, jobs
 
+
+def run(batch: int = 16, iterations: int = 12,
+        seed: int = 0) -> ExperimentResult:
+    solo = solo_throughput(v100_server, (1,), get_model("ResNet50"), batch,
+                           True, iterations=iterations, seed=seed)
+    ctx, jobs = corun(MultiThreadedTF, batch, iterations, seed)
     serialized = serialization_fraction(
-        ctx.tracer, gpu.lane, (jobs[0].name, jobs[1].name))
+        ctx.tracer, ctx.machine.gpu(0).lane, (jobs[0].name, jobs[1].name))
 
     result = ExperimentResult(
         name="fig2",
@@ -53,8 +60,7 @@ def run(batch: int = 16, iterations: int = 12,
     for job in jobs:
         result.add_row(
             configuration=f"co-run/{job.name}",
-            images_per_s=result_set.stats[job.name]
-            .throughput_items_per_s(warmup=2),
+            images_per_s=job.stats.throughput_items_per_s(warmup=2),
             paper_images_per_s=PAPER_CORUN_IMAGES_PER_S,
             serialization_fraction=serialized)
     result.notes.append(
@@ -66,16 +72,8 @@ def run(batch: int = 16, iterations: int = 12,
 def render_timeline(window_ms: float = 400.0, batch: int = 16,
                     seed: int = 0, width: int = 100) -> str:
     """The Figure 2 picture itself: per-model GPU occupancy over time."""
-    ctx = make_context(v100_server, 1, seed=seed)
+    ctx, jobs = corun(MultiThreadedTF, batch, 8, seed)
     gpu = ctx.machine.gpu(0)
-    model = get_model("ResNet50")
-    jobs = [
-        JobHandle(name=f"resnet50-{index}", model=model, batch=batch,
-                  training=True, preferred_device=gpu.name)
-        for index in range(2)
-    ]
-    run_colocation(ctx, MultiThreadedTF, [
-        JobSpec(job=job, iterations=8) for job in jobs])
     end = ctx.engine.now
     start = max(0.0, end - window_ms)
     glyphs = {jobs[0].name: "█", jobs[1].name: "░"}

@@ -69,8 +69,7 @@ def _solo_idle_row(spec: Tuple) -> dict:
 
 def run(iterations: int = 10, warmup: int = 2, seed: int = 0,
         models: Optional[List[str]] = None,
-        configs: Optional[List[Tuple]] = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
+        configs: Optional[List[Tuple]] = None) -> ExperimentResult:
     result = ExperimentResult(
         name="fig3",
         title="Figure 3: GPU idle % in solo sessions "
@@ -87,7 +86,7 @@ def run(iterations: int = 10, warmup: int = 2, seed: int = 0,
     # Every cell is independent (own machine, own seed derivation), so
     # they fan across processes; row order matches the spec order either
     # way.
-    result.rows.extend(fanout_map(_solo_idle_row, specs, jobs=jobs))
+    result.rows.extend(fanout_map(_solo_idle_row, specs))
     result.notes.append(
         "Paper shape: inference on fast GPUs mostly idle (NASNetMobile "
         ">90% on V100); training overlaps better; TX2 is GPU-bound; "

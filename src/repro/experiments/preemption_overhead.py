@@ -39,7 +39,7 @@ def measure_preemption_latency(victim_model: str, seed: int = 0,
     """
     for attempt in range(8):
         offset = arrival_ms + attempt * 17.0
-        ctx = _attempt(victim_model, seed, offset)
+        ctx, victim = _attempt(victim_model, seed, offset)
         # The scheduler publishes every preemption decision into the
         # metrics registry; query it instead of scanning raw spans.
         if ctx.metrics.value("sched.preemptions") > 0:
@@ -57,7 +57,6 @@ def measure_preemption_latency(victim_model: str, seed: int = 0,
             "state_fraction_of_11gb_pct": 100.0 * state_mib / (11 * 1024),
         }
     fast = max(ctx.machine.gpus, key=lambda g: g.spec.peak_fp32_tflops)
-    victim = ctx._victim_handle
     # Preemption latency: decision -> the preemptor's first kernel.
     # The decision instant comes from the structured run log.
     decisions = ctx.runlog.filter("preempt")
@@ -86,7 +85,7 @@ def measure_preemption_latency(victim_model: str, seed: int = 0,
 
 
 def _attempt(victim_model: str, seed: int, arrival_ms: float):
-    """One co-location attempt; returns its context (victim attached)."""
+    """One co-location attempt; returns ``(ctx, victim job)``."""
     ctx = make_context(two_gpu_server, seed=seed)
     fast = max(ctx.machine.gpus, key=lambda g: g.spec.peak_fp32_tflops)
     victim = JobHandle(
@@ -99,8 +98,7 @@ def _attempt(victim_model: str, seed: int, arrival_ms: float):
         JobSpec(job=victim, iterations=100_000, background=True),
         JobSpec(job=preemptor, iterations=4, start_delay_ms=arrival_ms),
     ])
-    ctx._victim_handle = victim
-    return ctx
+    return ctx, victim
 
 
 def run(seed: int = 0,

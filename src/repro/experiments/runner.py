@@ -6,18 +6,23 @@ Usage::
     switchflow-experiments table1 fig2
     switchflow-experiments all --quick
     switchflow-experiments all --quick --jobs 4
+    switchflow-experiments fault_sweep --seed 1 --out reports/seed1
 
 ``--jobs N`` fans independent experiments across a process pool. Each
 experiment renders its complete output (table, optional timeline,
 headline checks) to a string inside the worker, and the parent prints
 the strings in request order — so a parallel run's stdout is
 byte-identical to the sequential run's. When a *single* experiment is
-requested, N is handed to the experiment itself (via $REPRO_JOBS) so
-experiments that fan out internally — e.g. fig3's per-config solo runs
-— can use the workers instead.
+requested, the N workers go to its own fan-out instead (e.g. fig3's
+per-config solo runs).
 
-The run-feature flags (``--sanitize --faults --timeseries --concurrency
---serving``) are validated once into a
+``--seed N`` is passed to every experiment's ``run``. ``--out DIR``
+collects the run's artifacts: ``DIR/<experiment>.json`` (title, rows,
+notes, checks, seed and the active fault plan), flight records under
+``DIR/flight/`` and concurrency reports in ``DIR/concurrency.txt``.
+
+The run-wide flags (``--sanitize --faults --timeseries --concurrency
+--serving --jobs --out``) are validated once into a
 :class:`~repro.core.options.RunOptions`, which is active for the whole
 run and travels with every fan-out payload.
 """
@@ -25,6 +30,7 @@ run and travels with every fan-out payload.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import dataclass
@@ -47,15 +53,19 @@ from repro.experiments import (
     serving_colocation,
     table1_state_transfer,
 )
+from repro.analysis.concurrency import CONCURRENCY_REPORT_FILE
 from repro.analysis.integration import SanitizationError
-from repro.core.options import RunOptions, RunOptionsError, use_options
-from repro.experiments.common import ExperimentResult, fanout_map, jobs_for_block
+from repro.core.options import (
+    RunOptions, RunOptionsError, current_options, use_options,
+)
+from repro.experiments.common import ExperimentResult, fanout_map
 from repro.obs.procpool import ProcPoolStats
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: ``module.run(**full)`` or ``module.run(**quick)``.
+    """One experiment: ``module.run(seed=seed, **full)`` or
+    ``module.run(seed=seed, **quick)``.
 
     Every module also exports ``headline_checks(result)``, the paper's
     qualitative claims as ``PASS:``/``FAIL:``/``WARN:`` lines.
@@ -66,8 +76,8 @@ class ExperimentSpec:
     full: Dict[str, Any]
     quick: Dict[str, Any]
 
-    def run(self, mode: str) -> ExperimentResult:
-        return self.module.run(**getattr(self, mode))
+    def run(self, mode: str, seed: int = 0) -> ExperimentResult:
+        return self.module.run(seed=seed, **getattr(self, mode))
 
 
 # The one experiment table: the runner, bench_experiments.py and CI all
@@ -107,27 +117,38 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
 )}
 
 
-RenderJob = Tuple[str, str, bool]   # (name, mode, render timeline)
+# (name, mode, render timeline, seed)
+RenderJob = Tuple[str, str, bool, int]
 
 
 def _render_experiment(job: RenderJob) -> Tuple[str, str, float]:
-    """Run one experiment and render its complete stdout block.
+    """Run one experiment and render its complete stdout block; with an
+    ``--out`` directory, also write its ``<name>.json`` record there.
 
     Module-level and picklable-in/picklable-out so it can execute either
     in-process (sequential path) or inside a pool worker — both paths
     produce the same bytes. Returns (name, text, wall_seconds).
     """
-    name, mode, timeline = job
+    name, mode, timeline, seed = job
     spec = EXPERIMENTS[name]
     started = time.perf_counter()  # noqa: repro-analysis (wall-time stats)
-    result = spec.run(mode)
+    result = spec.run(mode, seed)
     blocks = [result.to_table()]
     if name == "fig2" and timeline:
-        blocks.append(fig2_timeline.render_timeline())
+        blocks.append(fig2_timeline.render_timeline(seed=seed))
     checks = spec.module.headline_checks(result)
     if checks:
         blocks.append("\n".join(f"check: {check}" for check in checks))
     text = "".join(block + "\n\n" for block in blocks)
+    options = current_options()
+    if options.out is not None:
+        record = {"experiment": name, "title": result.title, "seed": seed,
+                  "rows": result.rows, "notes": result.notes,
+                  "checks": checks}
+        if options.faults is not None:
+            record["faults"] = options.faults.to_dict()
+        (options.out / f"{name}.json").write_text(
+            json.dumps(record, indent=2) + "\n", encoding="utf-8")
     elapsed = time.perf_counter() - started  # noqa: repro-analysis (wall-time stats)
     return name, text, elapsed
 
@@ -145,6 +166,12 @@ def main(argv=None) -> int:
                         help="reduced iteration counts / subsets")
     parser.add_argument("--timeline", action="store_true",
                         help="also render the Figure 2 ASCII timeline")
+    parser.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="root seed passed to every experiment")
+    parser.add_argument("--out", metavar="DIR", default=None,
+                        help="write <experiment>.json records, flight "
+                             "records (flight/) and concurrency reports "
+                             "(concurrency.txt) under DIR")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="fan independent experiments across N "
                              "worker processes (output is byte-identical "
@@ -183,13 +210,9 @@ def main(argv=None) -> int:
         options = RunOptions.parse(
             sanitize=args.sanitize, faults=args.faults,
             timeseries=args.timeseries, concurrency=args.concurrency,
-            serving=args.serving)
+            serving=args.serving, out=args.out, jobs=args.jobs)
     except RunOptionsError as exc:
         print(exc, file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print(f"--jobs: expected a positive worker count, got "
-              f"{args.jobs}", file=sys.stderr)
         return 2
 
     if args.list or not args.experiments:
@@ -209,18 +232,18 @@ def main(argv=None) -> int:
             continue
         valid.append(name)
 
-    jobs = args.jobs
     mode = "quick" if args.quick else "full"
-    runs = [(name, mode, args.timeline) for name in valid]
+    runs = [(name, mode, args.timeline, args.seed) for name in valid]
+    if options.out is not None:
+        options.out.mkdir(parents=True, exist_ok=True)
+        (options.out / CONCURRENCY_REPORT_FILE).unlink(missing_ok=True)
 
-    # A single experiment cannot fan across experiments — hand the
-    # workers to its internal config fan-out instead.
-    handoff = jobs if jobs > 1 and len(valid) == 1 else None
+    # One experiment runs in-process (fanout_map's serial path for a
+    # single item), so its own fan-out gets the workers.
     started = time.perf_counter()  # noqa: repro-analysis (wall-time stats)
     try:
-        with use_options(options), jobs_for_block(handoff):
-            outputs = fanout_map(_render_experiment, runs,
-                                 jobs=jobs if len(valid) > 1 else 1)
+        with use_options(options):
+            outputs = fanout_map(_render_experiment, runs)
     except SanitizationError as exc:
         print(f"sanitizer: invariant violation\n{exc}", file=sys.stderr)
         return 1
@@ -230,7 +253,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
 
     if args.stats:
-        pool_stats = ProcPoolStats(jobs=min(jobs, max(1, len(valid))))
+        pool_stats = ProcPoolStats(jobs=min(args.jobs, max(1, len(valid))))
         for name, _text, wall in outputs:
             pool_stats.record(name, wall)
         print(pool_stats.render(elapsed), file=sys.stderr)

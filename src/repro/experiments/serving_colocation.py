@@ -12,17 +12,10 @@ The SLO budget is derived, not hardcoded: ``SLO_FACTOR`` times the
 solo (uncontended) mean batch-service time, so it tracks the cost
 model. Reported per cell: latency percentiles, goodput (SLO-meeting
 completions/s), shed rate, and the trainer's background progress.
-
-Env knobs (the nightly matrix sets these):
-
-* ``REPRO_SERVING_SWEEP_SEED`` — RNG seed (default 0).
-* ``REPRO_SERVING_SWEEP_JSON`` — path for the machine-readable dump.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import MPSPolicy, MultiThreadedTF, SessionTimeSlicing
@@ -34,9 +27,6 @@ from repro.hw import v100_server
 from repro.models import get_model
 from repro.serving import SLOTarget, ServedModelSpec, make_trace, run_serving
 from repro.workloads.colocation import JobSpec, run_colocation
-
-SEED_ENV = "REPRO_SERVING_SWEEP_SEED"
-JSON_ENV = "REPRO_SERVING_SWEEP_JSON"
 
 #: p99 budget as a multiple of the solo mean batch-service time.
 SLO_FACTOR = 3.0
@@ -120,10 +110,7 @@ def _run_cell(cell) -> Dict[str, object]:
 
 def run(duration_ms: float = FULL_DURATION_MS,
         rates: Sequence[float] = FULL_RATES,
-        seed: Optional[int] = None,
-        json_path: Optional[str] = None) -> ExperimentResult:
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
+        seed: int = 0) -> ExperimentResult:
     slo_ms = SLO_FACTOR * _solo_reference_ms(seed)
 
     cells = [(policy, rate, duration_ms, seed, slo_ms)
@@ -144,15 +131,6 @@ def run(duration_ms: float = FULL_DURATION_MS,
         f"{BG_MODEL} training shares the GPU. Goodput counts "
         f"SLO-meeting completions per second of offered load.")
 
-    json_path = json_path or os.environ.get(JSON_ENV)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({"seed": seed, "slo_ms": slo_ms,
-                       "slo_factor": SLO_FACTOR,
-                       "duration_ms": duration_ms,
-                       "rates": list(rates), "rows": rows},
-                      fh, indent=2)
-            fh.write("\n")
     return result
 
 

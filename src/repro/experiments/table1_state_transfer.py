@@ -63,8 +63,8 @@ def simulated_transfer_ms(model_name: str, seed: int = 0) -> float:
     return samples[0]
 
 
-def run(models: Optional[List[str]] = None,
-        simulate: bool = True) -> ExperimentResult:
+def run(models: Optional[List[str]] = None, simulate: bool = True,
+        seed: int = 0) -> ExperimentResult:
     result = ExperimentResult(
         name="table1",
         title="Table 1: model state transfer over PCIe 3.0 x16")
@@ -72,7 +72,7 @@ def run(models: Optional[List[str]] = None,
         model = get_model(model_name)
         analytic = transfer_time_ms(
             PCIE3_X16, model.stateful_bytes, model.state_tensor_count)
-        simulated = (simulated_transfer_ms(model_name)
+        simulated = (simulated_transfer_ms(model_name, seed=seed)
                      if simulate else None)
         paper_mib, paper_ms = PAPER_TABLE1.get(model_name, (None, None))
         result.add_row(

@@ -16,8 +16,8 @@ One subsystem answers every "what did the runtime do?" question:
 * :func:`emit_decision` / ``python -m repro.obs.audit`` — structured
   scheduler decision records and the "why did that happen?" query CLI,
   plus the flight recorder dumped on sanitizer/deadlock aborts.
-* ``python -m repro.obs.report`` — run a registered workload and print
-  a metrics summary, per-GPU breakdown and ASCII timeline.
+* ``python -m repro.obs.report`` — run one cell of a runner experiment
+  and print a metrics summary, per-GPU breakdown and ASCII timeline.
 """
 
 from repro.obs.chrome_trace import (

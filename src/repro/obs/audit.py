@@ -9,7 +9,8 @@ monotonically increasing ``decision`` id that outcome records
 machine-readable substrate ROADMAP item 5 (policy search) trains
 against, and the query CLI answers the operator question directly::
 
-    python -m repro.obs.audit why victim --workload preemption
+    python -m repro.obs.audit why victim --experiment preemption \\
+        --quick --cell 1
     python -m repro.obs.audit why victim --log run.jsonl --at 1200
     python -m repro.obs.audit list --log run.jsonl
 
@@ -17,24 +18,22 @@ The module also hosts the **flight recorder**: a post-mortem snapshot
 (open spans, recent records, pending decisions, gate state, recent
 time-series windows) captured automatically when a run dies on a
 :class:`~repro.analysis.integration.SanitizationError` or a deadlock
-abort, and written to ``$REPRO_FLIGHT_DIR`` when set.
+abort, and written under the run's ``--out`` directory (``flight/``)
+when one is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.options import current_options
 from repro.obs.runlog import RunLog
 
 DECISION_EVENT = "sched_decision"
-
-#: Environment variable naming a directory for flight-recorder dumps.
-FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 
 #: Decision kinds (the vocabulary the CLI and tests key on).
 KINDS = ("admit", "preempt", "migrate", "readmit", "spurious_preempt",
@@ -206,17 +205,18 @@ def dump_flight_record(ctx, reason: str, policy=None,
                        path: Optional[Path] = None) -> Optional[Path]:
     """Write a flight record to disk; returns the path (None = not asked).
 
-    With no explicit ``path``, the dump lands in ``$REPRO_FLIGHT_DIR``
-    (created if needed); unset means no dump — the snapshot is cheap
-    but unsolicited files are not.
+    With no explicit ``path``, the dump lands in ``flight/`` under the
+    active run options' ``out`` directory (created if needed); no
+    directory means no dump — the snapshot is cheap but unsolicited
+    files are not.
     """
     if path is None:
-        directory = os.environ.get(FLIGHT_DIR_ENV)
-        if not directory:
+        out = current_options().out
+        if out is None:
             return None
         slug = "".join(c if c.isalnum() or c in "-_" else "-"
                        for c in reason)[:48].strip("-") or "abort"
-        path = Path(directory) / f"flight-{slug}-t{ctx.engine.now:.0f}.json"
+        path = out / "flight" / f"flight-{slug}-t{ctx.engine.now:.0f}.json"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = flight_record(ctx, reason, policy=policy)
@@ -228,21 +228,9 @@ def dump_flight_record(ctx, reason: str, policy=None,
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-def _load_records(args, parser) -> List[Dict[str, Any]]:
-    if bool(args.log) == bool(args.workload):
-        parser.error("exactly one of --log / --workload is required")
-    if args.log:
-        with open(args.log, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    from repro.obs.report import WORKLOADS
-    if args.workload not in WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r} "
-                     f"(choices: {', '.join(sorted(WORKLOADS))})")
-    ctx = WORKLOADS[args.workload](args.seed, args.iterations)
-    return ctx.runlog.records
-
-
 def main(argv=None) -> int:
+    from repro.obs.report import CellError, add_cell_arguments, run_cell
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.audit",
         description="Query the scheduler decision log of a run.")
@@ -251,10 +239,10 @@ def main(argv=None) -> int:
     def _common(p):
         p.add_argument("--log", metavar="PATH",
                        help="run-log JSONL file to query")
-        p.add_argument("--workload", metavar="NAME",
-                       help="run this registered workload, query in-memory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--iterations", type=int, default=8)
+        p.add_argument("--experiment", metavar="NAME",
+                       help="run a cell of this runner experiment and "
+                            "query its log in memory")
+        add_cell_arguments(p)
         p.add_argument("--kind", choices=KINDS,
                        help="restrict to one decision kind")
 
@@ -269,7 +257,20 @@ def main(argv=None) -> int:
     _common(p_list)
 
     args = parser.parse_args(argv)
-    records = _load_records(args, parser)
+    if bool(args.log) == bool(args.experiment):
+        parser.error("exactly one of --log / --experiment is required")
+    if args.log:
+        with open(args.log, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+    else:
+        try:
+            ctx = run_cell(args.experiment, args, flag="--experiment")
+        except CellError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        if ctx is None:
+            return 0
+        records = ctx.runlog.records
 
     if args.command == "why":
         record = why(records, args.job, at_ms=args.at, kind=args.kind)

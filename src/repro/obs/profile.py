@@ -26,10 +26,10 @@ preemption window counts even while victim kernels drain) > **compute**
 (any GPU/CPU span) > **transfer** (PCIe) > **gate** (blocked on a
 device gate) > **recovery** (fault restart backoff) > **idle**.
 
-CLI::
+CLI (one cell of a runner experiment, as in ``python -m repro.obs.report``)::
 
-    python -m repro.obs.profile --workload preemption
-    python -m repro.obs.profile --workload serve --json profile.json
+    python -m repro.obs.profile preemption --quick --cell 1
+    python -m repro.obs.profile serving --quick --cell 1 --json profile.json
 """
 
 from __future__ import annotations
@@ -454,25 +454,27 @@ def render_profile(result: ProfileResult) -> str:
 # CLI
 # ---------------------------------------------------------------------------
 def main(argv=None) -> int:
-    from repro.obs.report import WORKLOADS
+    from repro.obs.report import CellError, add_cell_arguments, run_cell
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.profile",
-        description="Run a registered workload and print its "
+        description="Run one cell of a runner experiment and print its "
                     "critical-path profile.")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iterations", type=int, default=8)
+    parser.add_argument("experiment", help="experiment name")
+    add_cell_arguments(parser)
     parser.add_argument("--json", metavar="PATH",
                         help="also write the profile as JSON")
     args = parser.parse_args(argv)
-    if args.iterations < 1:
-        parser.error("--iterations must be >= 1")
 
-    ctx = WORKLOADS[args.workload](args.seed, args.iterations)
+    try:
+        ctx = run_cell(args.experiment, args)
+    except CellError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if ctx is None:
+        return 0
     result = profile_run(ctx)
-    print(f"== critical-path profile: {args.workload} "
+    print(f"== critical-path profile: {args.experiment} cell {args.cell} "
           f"(seed={args.seed}) ==")
     print(render_profile(result))
     if args.json:

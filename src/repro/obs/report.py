@@ -1,16 +1,19 @@
-"""Run-report CLI: execute a registered workload, summarize the run.
+"""Run-report CLI: run one cell of a runner experiment, summarize it.
 
-Usage::
+A *cell* is one :class:`~repro.core.context.RunContext` an experiment
+of :data:`repro.experiments.runner.EXPERIMENTS` builds, numbered in
+build order. Usage::
 
     python -m repro.obs.report --list
-    python -m repro.obs.report --workload fig2
-    python -m repro.obs.report --workload preemption \\
+    python -m repro.obs.report fig2 --quick            # list its cells
+    python -m repro.obs.report fig2 --quick --cell 1
+    python -m repro.obs.report preemption --quick --cell 1 \\
         --chrome-trace /tmp/trace.json --jsonl /tmp/run.jsonl
 
 The summary is computed *only* from the run's shared observability
 surfaces — the metrics registry, the run log, and the tracer — never
 from experiment-module internals, so the same report works for any
-workload that executes on a :class:`~repro.core.context.RunContext`.
+cell that executes on a :class:`~repro.core.context.RunContext`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.obs.chrome_trace import write_chrome_trace
 from repro.sim.trace import render_ascii_timeline
@@ -27,141 +30,56 @@ MiB = 1024.0 ** 2
 
 
 # ---------------------------------------------------------------------------
-# Workload registry
+# Experiment cells: the run contexts a runner experiment builds
 # ---------------------------------------------------------------------------
-def _workload_fig2(seed: int, iterations: int):
-    """Figure 2 scenario: two ResNet50 trainers share one V100 (mt-TF)."""
-    from repro.baselines import MultiThreadedTF
-    from repro.core import JobHandle, make_context
-    from repro.hw import v100_server
-    from repro.models import get_model
-    from repro.workloads import JobSpec, run_colocation
-
-    ctx = make_context(v100_server, 1, seed=seed)
-    gpu = ctx.machine.gpu(0)
-    model = get_model("ResNet50")
-    jobs = [JobHandle(name=f"resnet50-{i}", model=model, batch=16,
-                      training=True, preferred_device=gpu.name)
-            for i in range(2)]
-    run_colocation(ctx, MultiThreadedTF, [
-        JobSpec(job=job, iterations=iterations) for job in jobs])
-    return ctx
+class CellError(ValueError):
+    """A bad experiment name or cell index; the message names the flag."""
 
 
-def _workload_fig2_switchflow(seed: int, iterations: int):
-    """The Figure 2 pair, but gated by SwitchFlow (serializes cleanly)."""
-    from repro.core import JobHandle, SwitchFlowPolicy, make_context
-    from repro.hw import v100_server
-    from repro.models import get_model
-    from repro.workloads import JobSpec, run_colocation
-
-    ctx = make_context(v100_server, 1, seed=seed)
-    gpu = ctx.machine.gpu(0)
-    model = get_model("ResNet50")
-    jobs = [JobHandle(name=f"resnet50-{i}", model=model, batch=16,
-                      training=True, preferred_device=gpu.name)
-            for i in range(2)]
-    run_colocation(ctx, SwitchFlowPolicy, [
-        JobSpec(job=job, iterations=iterations) for job in jobs])
-    return ctx
+def add_cell_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``--quick --seed --cell`` flags every cell-reading CLI takes."""
+    parser.add_argument("--quick", action="store_true",
+                        help="the experiment's quick configuration")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cell", type=int, metavar="K",
+                        help="explain the K-th run context the experiment "
+                             "builds (default: list them)")
 
 
-def _workload_preemption(seed: int, iterations: int):
-    """A high-priority arrival preempts a low-priority trainer."""
-    from repro.core import (PRIORITY_HIGH, PRIORITY_LOW, JobHandle,
-                            SwitchFlowPolicy, make_context)
-    from repro.hw import two_gpu_server
-    from repro.models import get_model
-    from repro.workloads import JobSpec, run_colocation
+def run_cell(experiment: str, args: argparse.Namespace,
+             flag: str = "experiment"):
+    """Run a runner experiment at jobs 1 and return its ``args.cell``-th
+    :class:`~repro.core.context.RunContext`.
 
-    ctx = make_context(two_gpu_server, seed=seed)
-    fast = max(ctx.machine.gpus, key=lambda g: g.spec.peak_fp32_tflops)
-    victim = JobHandle(name="victim", model=get_model("VGG16"), batch=32,
-                       training=True, priority=PRIORITY_LOW,
-                       preferred_device=fast.name)
-    preemptor = JobHandle(name="preemptor", model=get_model("ResNet50"),
-                          batch=32, training=True, priority=PRIORITY_HIGH,
-                          preferred_device=fast.name)
-    run_colocation(ctx, SwitchFlowPolicy, [
-        JobSpec(job=victim, iterations=100_000, background=True),
-        JobSpec(job=preemptor, iterations=max(iterations, 4),
-                start_delay_ms=700.0),
-    ])
-    return ctx
-
-
-def _workload_serve(seed: int, iterations: int):
-    """Background trainer + latency-sensitive inference, SwitchFlow."""
-    from repro.core import (PRIORITY_HIGH, PRIORITY_LOW, JobHandle,
-                            SwitchFlowPolicy, make_context)
-    from repro.hw import v100_server
-    from repro.models import get_model
-    from repro.workloads import JobSpec, run_colocation
-
-    ctx = make_context(v100_server, 2, seed=seed)
-    gpu = ctx.machine.gpu(0)
-    train = JobHandle(name="train", model=get_model("VGG16"), batch=32,
-                      training=True, priority=PRIORITY_LOW,
-                      preferred_device=gpu.name)
-    serve = JobHandle(name="serve", model=get_model("ResNet50"), batch=1,
-                      training=False, priority=PRIORITY_HIGH,
-                      preferred_device=gpu.name)
-    run_colocation(ctx, SwitchFlowPolicy, [
-        JobSpec(job=train, iterations=100_000, background=True),
-        JobSpec(job=serve, iterations=max(iterations, 8),
-                start_delay_ms=400.0, request_interval_ms=60.0),
-    ])
-    return ctx
-
-
-def _workload_serving(seed: int, iterations: int):
-    """Open-loop serving front-end (repro.serving) over a trainer.
-
-    ``iterations`` scales the offered-load window (in hundreds of ms),
-    keeping the CLI knob meaningful for a workload driven by arrival
-    rate rather than iteration count.
+    Without ``--cell``, prints the cells (index, jobs, simulated end)
+    and returns None. Raises :class:`CellError` on an unknown
+    experiment or an index past the last cell.
     """
-    from repro.core import (PRIORITY_HIGH, PRIORITY_LOW, JobHandle,
-                            SwitchFlowPolicy, make_context)
-    from repro.hw import v100_server
-    from repro.models import get_model
-    from repro.serving import (SLOTarget, ServedModelSpec, make_trace,
-                               run_serving)
-    from repro.workloads import JobSpec
+    from dataclasses import replace
 
-    ctx = make_context(v100_server, 2, seed=seed)
-    gpu = ctx.machine.gpu(0)
-    horizon_ms = max(iterations, 8) * 100.0
-    trace = make_trace(ctx.rng, "serve", "poisson", 30.0, horizon_ms)
-    served = ServedModelSpec(
-        job=JobHandle(name="serve", model=get_model("MobileNetV2"),
-                      batch=8, training=False, priority=PRIORITY_HIGH,
-                      preferred_device=gpu.name),
-        trace=trace, max_batch=8, batch_timeout_ms=5.0,
-        queue_capacity=64, shed_policy="drop-newest",
-        slo=SLOTarget(p99_ms=250.0))
-    background = JobSpec(
-        job=JobHandle(name="train", model=get_model("ResNet50"),
-                      batch=32, training=True, priority=PRIORITY_LOW,
-                      preferred_device=gpu.name),
-        iterations=100_000, background=True)
-    run_serving(ctx, SwitchFlowPolicy, [served], [background])
-    return ctx
+    from repro.core.context import capture_contexts
+    from repro.core.options import current_options, use_options
+    from repro.experiments.runner import EXPERIMENTS
 
-
-#: name -> callable(seed, iterations) -> RunContext
-WORKLOADS: Dict[str, Callable] = {
-    "fig2": _workload_fig2,
-    "fig2-switchflow": _workload_fig2_switchflow,
-    "preemption": _workload_preemption,
-    "serve": _workload_serve,
-    "serving": _workload_serving,
-}
-
-
-def register_workload(name: str, factory: Callable) -> None:
-    """Add a workload (``factory(seed, iterations) -> RunContext``)."""
-    WORKLOADS[name] = factory
+    spec = EXPERIMENTS.get(experiment)
+    if spec is None:
+        raise CellError(f"{flag}: unknown experiment {experiment!r} "
+                        f"(choices: {', '.join(EXPERIMENTS)})")
+    mode = "quick" if args.quick else "full"
+    # In-process (one worker), so every context is built under the capture.
+    with use_options(replace(current_options(), jobs=1)), \
+            capture_contexts(select=args.cell) as capture:
+        spec.run(mode, args.seed)
+    if args.cell is None:
+        print(f"== cells: {experiment} ({mode}, seed={args.seed}) ==")
+        for index, label in enumerate(capture.labels):
+            print(f"  {index:>3}  {label}")
+        print("pass --cell K to explain one")
+        return None
+    if capture.selected is None:
+        raise CellError(f"--cell: {args.cell} is out of range; "
+                        f"{experiment} builds {len(capture.labels)} cells")
+    return capture.selected
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +251,13 @@ def run_summary(ctx, width: int = 100, window_ms: float = 400.0) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
-        description="Run a registered workload and print its run report.")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        help="workload to execute")
+        description="Run one cell of a runner experiment and print its "
+                    "run report.")
+    parser.add_argument("experiment", nargs="?",
+                        help="experiment name (see --list)")
     parser.add_argument("--list", action="store_true",
-                        help="list registered workloads")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iterations", type=int, default=8)
+                        help="list the experiments")
+    add_cell_arguments(parser)
     parser.add_argument("--width", type=int, default=100,
                         help="ASCII timeline width")
     parser.add_argument("--timeseries", type=float, metavar="MS",
@@ -352,30 +270,31 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics-json", metavar="PATH",
                         help="also write the full metrics snapshot (JSON)")
     args = parser.parse_args(argv)
-    if args.iterations < 1:
-        parser.error("--iterations must be >= 1")
     if args.width < 8:
         parser.error("--width must be >= 8")
 
-    if args.list or not args.workload:
-        print("registered workloads:")
-        for name in sorted(WORKLOADS):
+    if args.list or not args.experiment:
+        from repro.experiments.runner import EXPERIMENTS
+        print("available experiments:")
+        for name in EXPERIMENTS:
             print(f"  {name}")
         return 0
 
-    # Workload factories build their own RunContext; the harness
-    # attaches the sampler from the active run options.
+    # The harness attaches the sampler from the active run options.
     from repro.core.options import RunOptions, RunOptionsError, use_options
 
     timeseries = None if args.timeseries is None else str(args.timeseries)
     try:
         options = RunOptions.parse(timeseries=timeseries)
-    except RunOptionsError as exc:
+        with use_options(options):
+            ctx = run_cell(args.experiment, args)
+    except (RunOptionsError, CellError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    with use_options(options):
-        ctx = WORKLOADS[args.workload](args.seed, args.iterations)
-    print(f"== run report: {args.workload} (seed={args.seed}) ==")
+    if ctx is None:
+        return 0
+    print(f"== run report: {args.experiment} cell {args.cell} "
+          f"(seed={args.seed}) ==")
     print(run_summary(ctx, width=args.width))
 
     if args.chrome_trace:

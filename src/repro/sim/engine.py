@@ -208,7 +208,7 @@ class Engine:
         """Place a triggered event on the agenda ``delay`` ms from now.
 
         Raises :class:`ValueError` when the fire time would be in the
-        past or NaN.
+        past, infinite or NaN.
         """
         now = self._now
         when = now + delay
@@ -229,7 +229,7 @@ class Engine:
             raise SimulationError(
                 f"the engine supports URGENT/NORMAL priorities, "
                 f"got {priority}")
-        if not when > now:  # a negative or NaN delay
+        if not now < when < Infinity:  # a negative, infinite or NaN delay
             raise ValueError(
                 f"cannot schedule an event at {when} (now={now})")
         bucket = calendar.get(when)
@@ -323,7 +323,7 @@ class Engine:
         if stop_event is not None:
             raise SimulationError(
                 "run(until=event) exhausted the agenda before the event fired")
-        if horizon is not Infinity and self._now < horizon:
+        if horizon != Infinity and self._now < horizon:
             self._now = horizon
         return None
 

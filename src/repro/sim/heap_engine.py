@@ -36,7 +36,7 @@ class HeapEngine(Engine):
                  delay: float = 0.0) -> None:
         now = self._now
         when = now + delay
-        if not when >= now:  # a negative or NaN delay
+        if not now <= when < Infinity:  # a negative, infinite or NaN delay
             raise ValueError(
                 f"cannot schedule an event at {when} (now={now})")
         self._sequence += 1

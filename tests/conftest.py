@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import make_context
+from repro.core.context import capture_contexts
 from repro.hw import single_gpu_server, v100_server, TESLA_V100
 from repro.sim import Engine
 
@@ -12,6 +13,20 @@ from repro.sim import Engine
 @pytest.fixture
 def engine():
     return Engine()
+
+
+@pytest.fixture(scope="session")
+def quick_cell():
+    """``quick_cell(name, k)``: the k-th run context (cell) that the
+    runner experiment ``name`` builds in quick mode at seed 0."""
+    from repro.experiments.runner import EXPERIMENTS
+
+    def build(name, index):
+        with capture_contexts(select=index) as capture:
+            EXPERIMENTS[name].run("quick")
+        assert capture.selected is not None, (name, capture.labels)
+        return capture.selected
+    return build
 
 
 @pytest.fixture

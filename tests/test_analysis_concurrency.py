@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.concurrency import (
-    CONCURRENCY_REPORT_ENV,
     ConcurrencyTracker,
     WaitForGraph,
     deadlock_from_runlog,
@@ -17,6 +16,7 @@ from repro.core import (
     SwitchFlowPolicy,
     current_options,
     make_context,
+    use_options,
 )
 from repro.hw import XEON_DUAL_18C, CpuDevice, v100_server
 from repro.models import get_model
@@ -426,11 +426,11 @@ class TestHarnessIntegration:
         assert finalize_concurrency(ctx) is None  # second call: no-op
         assert instrument.TRACKER is None
 
-    def test_finalize_appends_report_file(self, monkeypatch, tmp_path):
-        out = tmp_path / "concurrency.txt"
-        monkeypatch.setenv(CONCURRENCY_REPORT_ENV, str(out))
+    def test_finalize_appends_report_file(self, tmp_path):
         ctx = make_context(v100_server, 1, seed=1, concurrency="hb")
-        finalize_concurrency(ctx, label="filecheck")
+        with use_options(RunOptions(out=tmp_path)):
+            finalize_concurrency(ctx, label="filecheck")
+        out = tmp_path / "concurrency.txt"
         assert "concurrency: filecheck" in out.read_text(encoding="utf-8")
 
     def test_double_attach_rejected(self):

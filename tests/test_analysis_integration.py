@@ -169,7 +169,7 @@ class TestRunnerFlag:
         # must catch SanitizationError and exit non-zero.
         from repro.experiments import runner
 
-        def bad_experiment():
+        def bad_experiment(seed=0):
             ctx, _policy = small_run()
             forge_violation(ctx)
             enforce(ctx, label="forged")
@@ -188,7 +188,7 @@ class TestRunnerFlag:
 
         seen = {}
 
-        def clean_experiment():
+        def clean_experiment(seed=0):
             seen["sanitize"] = current_options().sanitize
             return _FakeResult()
 

@@ -7,6 +7,8 @@ benchmarks/bench_experiments.py.
 """
 
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import EXPERIMENTS, main as runner_main
+from repro.faults import FaultPlan
 
 
 class TestCommon:
@@ -161,6 +164,14 @@ class TestExperimentTable:
         signature.bind(**spec.quick)
         assert callable(spec.module.headline_checks)
 
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_run_accepts_seed(self, name):
+        # The runner passes --seed to every experiment's run.
+        spec = EXPERIMENTS[name]
+        signature = inspect.signature(spec.module.run)
+        signature.bind(seed=3, **spec.full)
+        signature.bind(seed=3, **spec.quick)
+
     def test_list_prints_the_table_in_order(self, capsys):
         assert runner_main(["--list"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -179,3 +190,37 @@ class TestRunnerCli:
     def test_runs_table1(self, capsys):
         assert runner_main(["table1", "--quick"]) == 0
         assert "Table 1" in capsys.readouterr().out
+
+    def test_out_writes_one_json_per_experiment(self, capsys, tmp_path):
+        names = ["table1", "motivation"]
+        assert runner_main(names + ["--quick", "--out", str(tmp_path)]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("check: ")]
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["motivation.json", "table1.json"]
+        checks = []
+        for name in names:
+            record = json.loads((tmp_path / f"{name}.json").read_text())
+            result = EXPERIMENTS[name].run("quick")
+            assert record["experiment"] == name
+            assert record["title"] == result.title
+            assert record["rows"] == json.loads(json.dumps(result.rows))
+            assert record["notes"] == result.notes
+            assert record["seed"] == 0
+            assert "faults" not in record
+            checks.extend(f"check: {check}" for check in record["checks"])
+        assert checks == printed and printed
+
+    def test_out_record_carries_the_fault_plan(self, capsys, tmp_path):
+        plan = Path(__file__).resolve().parents[1] / "examples" \
+            / "faults_basic.json"
+        assert runner_main(["table1", "--quick", "--faults", str(plan),
+                            "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "table1.json").read_text())
+        assert record["faults"] == FaultPlan.load(str(plan)).to_dict()
+
+    def test_seed_reaches_the_experiment(self, capsys):
+        assert runner_main(["cluster_scale", "--quick", "--seed", "3"]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title.startswith("== Cluster scale-out")
+        assert "seed 3)" in title

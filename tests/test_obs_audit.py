@@ -8,12 +8,11 @@ import json
 
 import pytest
 
-from repro.core import make_context
+from repro.core import RunOptions, make_context, use_options
 from repro.core.switchflow import SwitchFlowPolicy
 from repro.hw import v100_server
 from repro.obs.audit import (
     DECISION_EVENT,
-    FLIGHT_DIR_ENV,
     decisions,
     dump_flight_record,
     emit_decision,
@@ -22,13 +21,12 @@ from repro.obs.audit import (
     main,
     why,
 )
-from repro.obs.report import WORKLOADS
 from repro.obs.runlog import RunLog
 
 
 @pytest.fixture(scope="module")
-def preemption_ctx():
-    return WORKLOADS["preemption"](0, 4)
+def preemption_ctx(quick_cell):
+    return quick_cell("preemption", 1)
 
 
 class TestEmission:
@@ -178,41 +176,42 @@ class TestFlightRecorder:
             assert state == {"holder": None, "waiting": []}
         assert len(snapshot["timeseries_windows"]) == 2
 
-    def test_dump_requires_opt_in(self, monkeypatch):
-        monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
+    def test_dump_requires_opt_in(self):
         ctx = make_context(v100_server, 1, seed=7)
         assert dump_flight_record(ctx, "deadlock-abort") is None
 
-    def test_dump_writes_json_into_flight_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path / "flights"))
+    def test_dump_writes_json_into_flight_dir(self, tmp_path):
         ctx = make_context(v100_server, 1, seed=7)
         emit_decision(ctx.runlog, "preempt", job="hi", victim="lo")
-        path = dump_flight_record(ctx, "sanitization-error")
+        with use_options(RunOptions(out=tmp_path / "run")):
+            path = dump_flight_record(ctx, "sanitization-error")
         assert path is not None and path.exists()
+        assert path.parent == tmp_path / "run" / "flight"
         payload = json.loads(path.read_text())
         assert payload["reason"] == "sanitization-error"
         assert payload["pending_decisions"]
 
-    def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
+    def test_explicit_path_wins_over_out(self, tmp_path):
         ctx = make_context(v100_server, 1, seed=7)
         target = tmp_path / "dump.json"
-        assert dump_flight_record(ctx, "x", path=target) == target
+        with use_options(RunOptions(out=tmp_path / "run")):
+            assert dump_flight_record(ctx, "x", path=target) == target
         assert json.loads(target.read_text())["reason"] == "x"
+        assert not (tmp_path / "run").exists()
 
 
 class TestCli:
     def test_why_over_a_workload(self, capsys):
-        code = main(["why", "victim", "--workload", "preemption",
-                     "--iterations", "3"])
+        code = main(["why", "victim", "--experiment", "preemption",
+                     "--quick", "--cell", "1"])
         text = capsys.readouterr().out
         assert code == 0
         assert "[preempt]" in text
         assert "victim: victim" in text
 
     def test_list_filters_by_kind(self, capsys):
-        code = main(["list", "--workload", "preemption",
-                     "--iterations", "3", "--kind", "admit"])
+        code = main(["list", "--experiment", "preemption", "--quick",
+                     "--cell", "1", "--kind", "admit"])
         text = capsys.readouterr().out
         assert code == 0
         assert text.count("[admit]") == 2
@@ -226,14 +225,26 @@ class TestCli:
         assert "[admit]" in capsys.readouterr().out
 
     def test_unknown_job_exits_nonzero(self, capsys):
-        code = main(["why", "nobody", "--workload", "preemption",
-                     "--iterations", "3"])
+        code = main(["why", "nobody", "--experiment", "preemption",
+                     "--quick", "--cell", "1"])
         assert code == 1
         assert "no decision found" in capsys.readouterr().out
 
     def test_log_and_workload_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["why", "a", "--log", str(tmp_path / "x.jsonl"),
-                  "--workload", "preemption"])
+                  "--experiment", "preemption"])
         with pytest.raises(SystemExit):
             main(["list"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["list", "--experiment", "nope"], "--experiment"),
+        (["list", "--experiment", "preemption", "--quick", "--cell", "7"],
+         "--cell"),
+    ])
+    def test_bad_experiment_or_cell_exits_two(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{flag}: ")
+        assert captured.err.count("\n") == 1

@@ -9,7 +9,6 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.report import WORKLOADS
 from repro.sim import Span, Tracer
 
 
@@ -93,9 +92,9 @@ class TestExport:
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
 
-    def test_fig2_chrome_trace_export(self):
+    def test_fig2_chrome_trace_export(self, quick_cell):
         """The Figure 2 run exports to loadable chrome://tracing JSON."""
-        ctx = WORKLOADS["fig2"](0, 8)
+        ctx = quick_cell("fig2", 1)
         payload = json.loads(json.dumps(tracer_to_chrome_trace(ctx.tracer)))
         assert validate_chrome_trace(payload) == []
         process_rows = {event["args"]["name"]

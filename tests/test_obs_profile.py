@@ -18,18 +18,20 @@ from repro.obs.profile import (
     profile_run,
     render_profile,
 )
-from repro.obs.report import WORKLOADS
+from repro.experiments.fig2_timeline import corun
 
 
 @pytest.fixture(scope="module")
-def preemption_profile():
-    ctx = WORKLOADS["preemption"](0, 4)
+def preemption_profile(quick_cell):
+    ctx = quick_cell("preemption", 1)
     return ctx, profile_run(ctx)
 
 
 @pytest.fixture(scope="module")
-def serve_profile():
-    ctx = WORKLOADS["serve"](0, 6)
+def serve_profile(quick_cell):
+    # Cell 1 of serving: an open-loop MobileNetV2 stream preempts a
+    # ResNet50 trainer under SwitchFlow.
+    ctx = quick_cell("serving", 1)
     return ctx, profile_run(ctx)
 
 
@@ -134,7 +136,7 @@ class TestBreakdowns:
         assert ctx.metrics.value("profile.overhead_wall_ms") > 0
 
     def test_export_opt_out(self):
-        ctx = WORKLOADS["fig2"](0, 2)
+        ctx, _jobs = corun(iterations=2)
         profile_run(ctx, export_metrics=False)
         assert ctx.metrics.get("profile.attributed_fraction") is None
 
@@ -162,14 +164,17 @@ class TestRendering:
 class TestCli:
     def test_cli_prints_profile_and_writes_json(self, tmp_path, capsys):
         out = tmp_path / "profile.json"
-        code = main(["--workload", "preemption", "--iterations", "3",
+        code = main(["preemption", "--quick", "--cell", "1",
                      "--json", str(out)])
         text = capsys.readouterr().out
         assert code == 0
-        assert "critical-path profile: preemption" in text
+        assert "critical-path profile: preemption cell 1" in text
         payload = json.loads(out.read_text())
         assert payload["attributed_fraction"] >= 0.95
 
-    def test_cli_rejects_bad_iterations(self):
-        with pytest.raises(SystemExit):
-            main(["--workload", "preemption", "--iterations", "0"])
+    def test_cli_rejects_bad_cell(self, capsys):
+        assert main(["preemption", "--quick", "--cell", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("--cell: ")
+        assert captured.err.count("\n") == 1

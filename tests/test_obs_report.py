@@ -1,30 +1,35 @@
 """Tests for the run-report CLI and the end-to-end instrumentation.
 
-These execute small registered workloads and assert that the runtime's
-hot paths actually publish into the shared metrics registry / run log —
-the contract the report and the experiments rely on.
+These run small cells of the runner's experiments and assert that the
+runtime's hot paths actually publish into the shared metrics registry /
+run log — the contract the report and the experiments rely on.
 """
 
 import json
 
 import pytest
 
-from repro.obs.report import WORKLOADS, main, register_workload, run_summary
+from repro.core import SwitchFlowPolicy
+from repro.experiments.fig2_timeline import corun
+from repro.obs.report import main, run_summary
 
 
 @pytest.fixture(scope="module")
-def fig2_ctx():
-    return WORKLOADS["fig2"](0, 4)
+def fig2_ctx(quick_cell):
+    # Cell 1 of fig2: the multi-threaded TF pair, 6 iterations each.
+    return quick_cell("fig2", 1)
 
 
 @pytest.fixture(scope="module")
 def switchflow_ctx():
-    return WORKLOADS["fig2-switchflow"](0, 4)
+    ctx, _jobs = corun(SwitchFlowPolicy, iterations=4)
+    return ctx
 
 
 @pytest.fixture(scope="module")
-def preemption_ctx():
-    return WORKLOADS["preemption"](0, 4)
+def preemption_ctx(quick_cell):
+    # Cell 1 of preemption: a ResNet50 arrival preempts a VGG19 victim.
+    return quick_cell("preemption", 1)
 
 
 class TestInstrumentation:
@@ -52,7 +57,7 @@ class TestInstrumentation:
     def test_pool_and_job_metrics(self, fig2_ctx):
         metrics = fig2_ctx.metrics
         assert metrics.value("pool.tasks_total") > 0
-        assert metrics.value("job.iteration_ms", job="resnet50-0") == 4
+        assert metrics.value("job.iteration_ms", job="resnet50-0") == 6
         assert metrics.quantile("job.iteration_ms", 50) > 0
 
     def test_runlog_narrates_job_lifecycle(self, fig2_ctx):
@@ -102,24 +107,31 @@ class TestCli:
     def test_list_workloads(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("fig2", "fig2-switchflow", "preemption", "serve"):
-            assert name in out
+        for name in ("fig2", "preemption", "serving"):
+            assert f"  {name}\n" in out
 
     def test_no_workload_defaults_to_list(self, capsys):
         assert main([]) == 0
-        assert "registered workloads" in capsys.readouterr().out
+        assert "available experiments" in capsys.readouterr().out
+
+    def test_no_cell_lists_the_cells(self, capsys):
+        assert main(["fig2", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "cells: fig2 (quick, seed=0)" in out
+        assert "  0  solo/ResNet50  (end " in out
+        assert "  1  resnet50-0, resnet50-1  (end " in out
 
     def test_report_with_exports(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "run.jsonl"
         metrics_path = tmp_path / "metrics.json"
-        code = main(["--workload", "fig2", "--iterations", "2",
+        code = main(["fig2", "--quick", "--cell", "1",
                      "--chrome-trace", str(trace_path),
                      "--jsonl", str(jsonl_path),
                      "--metrics-json", str(metrics_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "run report: fig2" in out
+        assert "run report: fig2 cell 1" in out
         assert "per-GPU" in out
         payload = json.loads(trace_path.read_text())
         assert payload["traceEvents"]
@@ -128,10 +140,14 @@ class TestCli:
         snapshot = json.loads(metrics_path.read_text())
         assert "job.iteration_ms" in snapshot
 
-    def test_register_workload(self):
-        sentinel = object()
-        register_workload("_test", lambda seed, iterations: sentinel)
-        try:
-            assert WORKLOADS["_test"](0, 1) is sentinel
-        finally:
-            del WORKLOADS["_test"]
+    @pytest.mark.parametrize("argv, flag", [
+        (["nope"], "experiment"),
+        (["fig2", "--quick", "--cell", "2"], "--cell"),
+        (["fig2", "--quick", "--cell", "-1"], "--cell"),
+    ])
+    def test_bad_experiment_or_cell_exits_two(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{flag}: ")
+        assert captured.err.count("\n") == 1

@@ -14,17 +14,13 @@ import time
 
 import pytest
 
-from repro.analysis.concurrency import (
-    CONCURRENCY_REPORT_ENV,
-    finalize_concurrency,
-)
-from repro.core import make_context
+from repro.analysis.concurrency import finalize_concurrency
+from repro.core import RunOptions, make_context, use_options
 from repro.experiments import runner
 from repro.experiments.common import (
     WorkerCrashError,
     _RemoteTraceback,
     fanout_map,
-    resolve_jobs,
 )
 from repro.hw import v100_server
 from repro.obs.procpool import ProcPoolStats
@@ -66,15 +62,13 @@ def test_fanout_map_preserves_order():
     assert fanout_map(_square, items, jobs=2) == [25, 1, 16, 4, 9]
 
 
-def test_fanout_concurrency_reports_follow_item_order(monkeypatch,
-                                                      tmp_path):
+def test_fanout_concurrency_reports_follow_item_order(tmp_path):
     # The first item finishes last, yet its report block comes first:
     # the parent writes the workers' blocks in input order.
-    out = tmp_path / "concurrency.txt"
-    monkeypatch.setenv(CONCURRENCY_REPORT_ENV, str(out))
     items = [("slow", 0.5), ("fast", 0.0)]
-    assert fanout_map(_tracked_run, items, jobs=2) == ["slow", "fast"]
-    text = out.read_text(encoding="utf-8")
+    with use_options(RunOptions(out=tmp_path, jobs=2)):
+        assert fanout_map(_tracked_run, items) == ["slow", "fast"]
+    text = (tmp_path / "concurrency.txt").read_text(encoding="utf-8")
     assert text.count("== concurrency: ") == 2
     assert text.index("concurrency: slow") < text.index("concurrency: fast")
 
@@ -107,14 +101,25 @@ def test_dead_worker_surfaces_as_worker_crash_error():
         fanout_map(_exit_for_three, list(range(6)), jobs=2)
 
 
-def test_resolve_jobs_env_fallback(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(4) == 4
-    assert resolve_jobs(0) == 1
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs(None) == 3
-    assert resolve_jobs(2) == 2
+def _pid_and_width(_item):
+    from repro.core import current_options
+    return os.getpid(), current_options().jobs
+
+
+def test_run_options_jobs_sets_the_fanout_width():
+    items = list(range(6))
+    # Default options: one worker, so every item runs in this process.
+    assert {pid for pid, _ in fanout_map(_pid_and_width, items)} == \
+        {os.getpid()}
+    with use_options(RunOptions(jobs=3)):
+        seen = fanout_map(_pid_and_width, items)
+        # An explicit width wins over the options.
+        assert fanout_map(_pid_and_width, items, jobs=1) == \
+            [(os.getpid(), 3)] * len(items)
+    pids = {pid for pid, _ in seen}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 3
+    # Workers run with jobs=1, so they never fan out again.
+    assert {width for _, width in seen} == {1}
 
 
 def _run_cli(capsys, argv):

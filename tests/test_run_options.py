@@ -135,14 +135,14 @@ class TestCliExitTwo:
         _assert_one_line_error(capsys, "--faults")
 
     def test_report_timeseries_nan(self, capsys):
-        assert report_main(["--workload", "fig2", "--timeseries",
-                            "nan"]) == 2
+        assert report_main(["fig2", "--quick", "--cell", "1",
+                            "--timeseries", "nan"]) == 2
         _assert_one_line_error(capsys, "--timeseries")
 
     def test_report_timeseries_below_floor(self, capsys):
         # An interval this small would stall the sampler's time grid.
-        assert report_main(["--workload", "fig2", "--timeseries",
-                            "1e-300"]) == 2
+        assert report_main(["fig2", "--quick", "--cell", "1",
+                            "--timeseries", "1e-300"]) == 2
         _assert_one_line_error(capsys, "--timeseries")
 
 
@@ -308,12 +308,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: Modules allowed to read or write the environment, and why.
 ENVIRON_ALLOWLIST = {
     "core/config.py",                      # the paper's TF_* variables
-    "experiments/common.py",               # REPRO_JOBS, worker guard
-    "obs/audit.py",                        # REPRO_FLIGHT_DIR
-    "analysis/concurrency.py",             # REPRO_CONCURRENCY_REPORT
-    "experiments/fault_sweep.py",          # *_SEED / *_JSON
-    "experiments/cluster_scale.py",
-    "experiments/serving_colocation.py",
 }
 
 

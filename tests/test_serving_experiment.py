@@ -1,4 +1,4 @@
-"""Serving experiment: runner wiring, env knobs, headline checks."""
+"""Serving experiment: runner wiring, seed and --out, headline checks."""
 
 import json
 
@@ -77,30 +77,30 @@ class TestHeadlineChecks:
 
 
 class TestServingSweep:
-    def test_quick_sweep_writes_json(self, tmp_path):
-        json_path = tmp_path / "serving.json"
-        result = serving_colocation.run(
-            duration_ms=serving_colocation.QUICK_DURATION_MS,
-            rates=serving_colocation.QUICK_RATES,
-            seed=0, json_path=str(json_path))
-        payload = json.loads(json_path.read_text())
+    def test_quick_sweep_writes_json(self, tmp_path, capsys):
+        assert runner_main(["serving", "--quick", "--out",
+                            str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "serving.json").read_text())
         assert payload["seed"] == 0
-        assert payload["slo_ms"] > 0
-        assert len(payload["rows"]) == len(result.rows) == 3
+        # The SLO budget (solo batch time x SLO_FACTOR) is in the title.
+        slo_ms = float(payload["title"].split(" solo batch = ")[1]
+                       .split(" ms")[0])
+        assert slo_ms > 0
+        assert len(payload["rows"]) == 3
         policies = {row["policy"] for row in payload["rows"]}
         assert policies == {"SwitchFlow", "TimeSlicing", "MPS"}
         for row in payload["rows"]:
             assert row["p99_ms"] > 0
             assert 0.0 <= row["shed_pct"] <= 100.0
+        assert "== " + payload["title"] + " ==" in capsys.readouterr().out
 
-    def test_seed_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(serving_colocation.SEED_ENV, "7")
-        json_path = tmp_path / "serving-seeded.json"
-        serving_colocation.run(
-            duration_ms=serving_colocation.QUICK_DURATION_MS,
-            rates=serving_colocation.QUICK_RATES,
-            json_path=str(json_path))
-        assert json.loads(json_path.read_text())["seed"] == 7
+    def test_seed_flag_respected(self, tmp_path, capsys):
+        assert runner_main(["serving", "--quick", "--seed", "7", "--out",
+                            str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "serving.json").read_text())
+        assert payload["seed"] == 7
+        assert payload["title"].endswith("seed 7)")
+        assert "seed 7)" in capsys.readouterr().out
 
 
 class TestRunnerServingCli:

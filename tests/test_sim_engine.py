@@ -128,6 +128,25 @@ def test_nan_timeout_rejected(fast):
 
 
 @pytest.mark.parametrize("fast", [True, False])
+def test_infinite_timeout_rejected(fast):
+    engine = make_engine(fast)
+    with pytest.raises(ValueError, match="cannot schedule"):
+        engine.timeout(float("inf"))
+    engine.run()
+    assert (engine.now, engine.peek()) == (0.0, float("inf"))
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_run_until_infinity_leaves_the_clock_on_the_last_event(fast):
+    # A caller's own float("inf") is the unbounded horizon too, not a
+    # finite one the clock lands on once the agenda drains.
+    engine = make_engine(fast)
+    engine.timeout(5.0)
+    assert engine.run(until=float("inf")) is None
+    assert engine.now == 5.0
+
+
+@pytest.mark.parametrize("fast", [True, False])
 def test_run_until_nan_rejected(fast):
     engine = make_engine(fast)
     engine.timeout(5.0)
