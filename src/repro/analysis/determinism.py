@@ -51,8 +51,10 @@ GLOBAL_RANDOM_FNS = frozenset({
 #: Directories whose files are additionally held to the set-iteration
 #: rule (the deterministic core feeding the event agenda). ``faults``
 #: joined post-PR 4: injected fault timing feeds the agenda the same
-#: way scheduler decisions do.
-ORDER_SENSITIVE_DIRS = ("sim", "core", "runtime", "faults", "serving")
+#: way scheduler decisions do; so do the job drivers (``workloads``)
+#: and the baseline policies.
+ORDER_SENSITIVE_DIRS = ("sim", "core", "runtime", "faults", "serving",
+                        "workloads", "baselines")
 
 #: Module stems held to the set-iteration rule even though their
 #: package is not (``hw`` is mostly passive specs, but topology's

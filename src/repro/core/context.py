@@ -60,10 +60,12 @@ class RunContext:
         # attach_serving() installs one. None = served-model specs run
         # exactly as the experiment declared them.
         self.serving = None
-        # Job handles that ran on this context (filled by the workload
-        # harness) — lets post-run analysis like the critical-path
-        # profiler reach sessions/executors without a side channel.
+        # Job handles that ran on this context and the policy they ran
+        # under (filled by the workload harness) — lets post-run
+        # analysis like the critical-path profiler reach sessions/
+        # executors without a side channel.
         self.jobs = []
+        self.policy = None
         self.metrics.register_collector(self._collect_device_metrics)
         register_cost_cache_collector(self.metrics)
 
@@ -223,7 +225,8 @@ def make_context(machine_builder, *args, seed: int = 0,
 class ContextCapture:
     """The contexts built inside one :func:`capture_contexts` block, in
     build order: the selected one kept whole, every one reduced to a
-    one-line label (its jobs and simulated end time) once it is done."""
+    one-line label (its jobs, simulated end time, policy and injected
+    fault count) once it is done."""
 
     def __init__(self, select: Optional[int] = None) -> None:
         self.select = select
@@ -240,9 +243,15 @@ class ContextCapture:
         self._last = ctx
 
     def _label_last(self) -> None:
-        if self._last is not None:
-            jobs = ", ".join(job.name for job in self._last.jobs) or "-"
-            self.labels.append(f"{jobs}  (end {self._last.now:.1f} ms)")
+        ctx = self._last
+        if ctx is not None:
+            jobs = ", ".join(job.name for job in ctx.jobs) or "-"
+            label = f"{jobs}  (end {ctx.now:.1f} ms)"
+            if ctx.policy is not None:
+                label += f"  {type(ctx.policy).__name__}"
+            if ctx.faults is not None:
+                label += f", faults {ctx.faults.injected_total():.0f}"
+            self.labels.append(label)
             self._last = None
 
 

@@ -59,14 +59,12 @@ class SchedulingPolicy:
     # ------------------------------------------------------------------
     def register_job(self, job: JobHandle) -> None:
         """Admit a job: build its session and pick its initial device."""
-        from repro.obs.audit import emit_decision
-
         pinned = job.preferred_device is not None
         if job.preferred_device is None:
             job.preferred_device = self.default_device(job)
         job.assigned_device = job.preferred_device
-        emit_decision(
-            self.ctx.runlog, "admit", job=job.name,
+        self.ctx.runlog.emit_decision(
+            "admit", job=job.name,
             chosen=job.assigned_device,
             considered=[{"device": gpu.name}
                         for gpu in self.ctx.machine.gpus],

@@ -29,16 +29,6 @@ from repro.core.gate import DeviceGate
 from repro.core.job import JobHandle
 from repro.core.policy import ComputeGrant, SchedulingPolicy
 from repro.faults.recovery import MigrationFailedError
-from repro.runtime.threadpool import ThreadPool
-
-
-def emit_decision(runlog, kind, **fields):
-    """Deferred :func:`repro.obs.audit.emit_decision` (keeps the audit
-    module importable as ``python -m repro.obs.audit`` without tripping
-    runpy's already-imported warning through this module)."""
-    from repro.obs import audit
-
-    return audit.emit_decision(runlog, kind, **fields)
 
 
 class SwitchFlowPolicy(SchedulingPolicy):
@@ -92,8 +82,8 @@ class SwitchFlowPolicy(SchedulingPolicy):
                     # On a degraded device preemption is suppressed:
                     # jobs fall back to time-slicing through the gate's
                     # FIFO. Auditable — it's a decision NOT to act.
-                    emit_decision(
-                        self.ctx.runlog, "preempt_suppressed",
+                    self.ctx.runlog.emit_decision(
+                        "preempt_suppressed",
                         job=job.name, device=device, victim=victim.name,
                         requester_priority=job.priority,
                         victim_priority=victim.priority,
@@ -155,8 +145,8 @@ class SwitchFlowPolicy(SchedulingPolicy):
         """
         home = self.ctx.resources.state_of(job.name).device
         job.assigned_device = home
-        emit_decision(
-            self.ctx.runlog, "readmit", job=job.name, chosen=home,
+        self.ctx.runlog.emit_decision(
+            "readmit", job=job.name, chosen=home,
             rejected=[{"device": failed_device,
                        "why": "state transfer failed"}],
             reason=str(failure))
@@ -205,8 +195,7 @@ class SwitchFlowPolicy(SchedulingPolicy):
         victim.stats.preemptions += 1
         target, rejected = self._migration_target(victim, device)
         gate = self.gates[device]
-        decision = emit_decision(
-            self.ctx.runlog,
+        decision = self.ctx.runlog.emit_decision(
             "spurious_preempt" if requester is None else "preempt",
             job=requester.name if requester is not None else victim.name,
             device=device, chosen=target, rejected=rejected,

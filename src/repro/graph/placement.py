@@ -231,12 +231,8 @@ class GangScheduler:
                 spilled: bool, reason: str,
                 rejected: List[Dict[str, str]]) -> GangPlacement:
         if self.runlog is not None:
-            # Deferred import, as in core.switchflow: keeps the audit
-            # module runpy-clean and the graph layer import-light.
-            from repro.obs import audit
-
-            audit.emit_decision(
-                self.runlog, "gang_place", job=member.job,
+            self.runlog.emit_decision(
+                "gang_place", job=member.job,
                 chosen=device, rejected=rejected, node=node,
                 spilled=spilled, reason=reason,
                 critical_path_ms=member.critical_path_ms,

@@ -13,7 +13,7 @@ One subsystem answers every "what did the runtime do?" question:
   wall clock (``python -m repro.obs.profile``).
 * :class:`TimeSeriesSampler` — windowed counter/gauge/quantile
   snapshots on the engine clock, off by default.
-* :func:`emit_decision` / ``python -m repro.obs.audit`` — structured
+* :meth:`RunLog.emit_decision` / ``python -m repro.obs.audit`` — structured
   scheduler decision records and the "why did that happen?" query CLI,
   plus the flight recorder dumped on sanitizer/deadlock aborts.
 * ``python -m repro.obs.report`` — run one cell of a runner experiment

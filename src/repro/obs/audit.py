@@ -31,52 +31,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.options import current_options
-from repro.obs.runlog import RunLog
+from repro.obs.runlog import DECISION_EVENT, KINDS, RunLog
 
-DECISION_EVENT = "sched_decision"
-
-#: Decision kinds (the vocabulary the CLI and tests key on).
-KINDS = ("admit", "preempt", "migrate", "readmit", "spurious_preempt",
-         "preempt_suppressed", "gang_place", "request_admit",
-         "request_shed", "batch_close")
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-def emit_decision(runlog: RunLog, kind: str, *, job: str,
-                  device: Optional[str] = None,
-                  chosen: Optional[str] = None,
-                  considered: Optional[Sequence[Dict[str, Any]]] = None,
-                  rejected: Optional[Sequence[Dict[str, Any]]] = None,
-                  **inputs: Any) -> Optional[int]:
-    """Emit one decision record; returns its ``decision`` id.
-
-    ``considered``/``rejected`` are lists of plain dicts (candidate +
-    why it lost); they are JSON-encoded into string fields so the
-    record stays a flat JSONL line. Returns None when the runlog is
-    disabled (decision ids then don't advance, keeping replays of the
-    same run identical whether or not logging is on).
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown decision kind {kind!r}")
-    if not runlog.enabled:
-        return None
-    decision_id = getattr(runlog, "_decision_seq", 0) + 1
-    runlog._decision_seq = decision_id
-    fields: Dict[str, Any] = {"decision": decision_id, "kind": kind,
-                              "job": job}
-    if device is not None:
-        fields["device"] = device
-    if chosen is not None:
-        fields["chosen"] = chosen
-    if considered is not None:
-        fields["considered"] = json.dumps(list(considered))
-    if rejected is not None:
-        fields["rejected"] = json.dumps(list(rejected))
-    fields.update(inputs)
-    runlog.emit(DECISION_EVENT, **fields)
-    return decision_id
+#: One emitter: :meth:`RunLog.emit_decision`, importable here as a
+#: function of the log (``emit_decision(runlog, kind, ...)``).
+emit_decision = RunLog.emit_decision
 
 
 # ---------------------------------------------------------------------------

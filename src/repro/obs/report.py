@@ -51,9 +51,10 @@ def run_cell(experiment: str, args: argparse.Namespace,
     """Run a runner experiment at jobs 1 and return its ``args.cell``-th
     :class:`~repro.core.context.RunContext`.
 
-    Without ``--cell``, prints the cells (index, jobs, simulated end)
-    and returns None. Raises :class:`CellError` on an unknown
-    experiment or an index past the last cell.
+    Without ``--cell``, prints the cells (index, jobs, simulated end,
+    policy, injected faults) and returns None. Raises
+    :class:`CellError` on an unknown experiment or an index past the
+    last cell.
     """
     from dataclasses import replace
 

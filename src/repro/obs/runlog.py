@@ -16,9 +16,18 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Union)
 
 PathLike = Union[str, Path]
+
+#: The run-log event every scheduler decision is recorded as.
+DECISION_EVENT = "sched_decision"
+
+#: Decision kinds (the vocabulary the audit CLI and tests key on).
+KINDS = ("admit", "preempt", "migrate", "readmit", "spurious_preempt",
+         "preempt_suppressed", "gang_place", "request_admit",
+         "request_shed", "batch_close")
 
 
 class RunLog:
@@ -29,6 +38,8 @@ class RunLog:
         self._clock = clock or (lambda: 0.0)
         self.enabled = enabled
         self.records: List[Dict[str, Any]] = []
+        #: Id of the last decision emitted (0 = none yet).
+        self.decision_seq = 0
 
     def emit(self, event: str, **fields: Any) -> Optional[Dict[str, Any]]:
         """Record one event; non-JSON-native values are repr()'d."""
@@ -43,6 +54,39 @@ class RunLog:
                 record[key] = repr(value)
         self.records.append(record)
         return record
+
+    def emit_decision(self, kind: str, *, job: str,
+                      device: Optional[str] = None,
+                      chosen: Optional[str] = None,
+                      considered: Optional[Sequence[Dict[str, Any]]] = None,
+                      rejected: Optional[Sequence[Dict[str, Any]]] = None,
+                      **inputs: Any) -> Optional[int]:
+        """Emit one decision record; returns its ``decision`` id.
+
+        ``considered``/``rejected`` are lists of plain dicts (candidate +
+        why it lost); they are JSON-encoded into string fields so the
+        record stays a flat JSONL line. Returns None when the log is
+        disabled (decision ids then don't advance, keeping replays of
+        the same run identical whether or not logging is on).
+        """
+        if kind not in KINDS:
+            raise ValueError(f"unknown decision kind {kind!r}")
+        if not self.enabled:
+            return None
+        self.decision_seq += 1
+        fields: Dict[str, Any] = {"decision": self.decision_seq,
+                                  "kind": kind, "job": job}
+        if device is not None:
+            fields["device"] = device
+        if chosen is not None:
+            fields["chosen"] = chosen
+        if considered is not None:
+            fields["considered"] = json.dumps(list(considered))
+        if rejected is not None:
+            fields["rejected"] = json.dumps(list(rejected))
+        fields.update(inputs)
+        self.emit(DECISION_EVENT, **fields)
+        return self.decision_seq
 
     # ------------------------------------------------------------------
     def filter(self, event: Optional[str] = None,

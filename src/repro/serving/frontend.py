@@ -16,10 +16,10 @@ requests rode along — the static-shape regime of real serving engines,
 and what makes the batch-or-wait tradeoff real. Goodput counts actual
 requests, not padding.
 
-:func:`run_serving` is the harness twin of
-:func:`~repro.workloads.colocation.run_colocation`: same fork-safe env
-attachments, watchdog, horizon deadline with flight-record dump, and
-sanitizer/concurrency finalization.
+A front-end is a :class:`~repro.workloads.drivers.JobDriver` whose body
+is arrival-driven: it inherits the job lifecycle and the compute loops,
+and :func:`run_serving` finishes the run through the same harness tail
+as :func:`~repro.workloads.colocation.run_colocation`.
 """
 
 from __future__ import annotations
@@ -27,14 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.concurrency import finalize_concurrency
-from repro.analysis.integration import enforce
 from repro.core.context import RunContext
 from repro.core.job import JobHandle
-from repro.core.options import current_options
 from repro.core.policy import SchedulingPolicy
-from repro.faults.recovery import InjectedJobCrash
-from repro.hw.memory import OutOfMemoryError
 from repro.metrics.latency import LatencySummary
 from repro.metrics.throughput import JobStats
 from repro.serving.admission import AdmissionQueue, Request
@@ -44,18 +39,9 @@ from repro.serving.slo import SLOTarget
 from repro.workloads.colocation import (
     DEFAULT_HORIZON_MS,
     JobSpec,
-    dump_flight_record,
+    run_drivers,
 )
 from repro.workloads.drivers import JobDriver
-
-
-def emit_decision(runlog, kind, **fields):
-    """Deferred :func:`repro.obs.audit.emit_decision` (keeps the audit
-    module importable as ``python -m repro.obs.audit`` without tripping
-    runpy's already-imported warning through this module)."""
-    from repro.obs import audit
-
-    return audit.emit_decision(runlog, kind, **fields)
 
 
 @dataclass
@@ -159,15 +145,25 @@ class ServingStats:
         return 1000.0 * self.slo_met / self.horizon_ms
 
 
-class ServingFrontEnd:
-    """Runs one served model's request stream under a policy."""
+class ServingFrontEnd(JobDriver):
+    """Runs one served model's request stream under a policy.
+
+    One iteration is one dispatched batch; the arrival stream, not an
+    iteration count, ends the run. A crash is not restarted: it sheds
+    every outstanding request as ``aborted``.
+    """
+
+    role = "serving"
+    kind = "serving"
 
     def __init__(self, policy: SchedulingPolicy,
                  spec: ServedModelSpec) -> None:
-        self.policy = policy
-        self.ctx: RunContext = policy.ctx
+        # Each batch carries at least one request, so the trace bounds
+        # the iteration count.
+        super().__init__(policy, spec.job,
+                         iterations=max(1, len(spec.trace.times_ms)),
+                         start_delay_ms=spec.start_delay_ms)
         self.spec = spec
-        self.job = spec.job
         self.queue = AdmissionQueue(self.ctx.engine,
                                     capacity=spec.queue_capacity,
                                     shed_policy=spec.shed_policy)
@@ -177,58 +173,13 @@ class ServingFrontEnd:
         self.stats = ServingStats(job=self.job.name,
                                   horizon_ms=spec.trace.horizon_ms,
                                   slo=spec.slo)
-        self.process = None
-        self._metrics = self.ctx.metrics
-        self._runlog = self.ctx.runlog
-        self._arrival_process = None
         self._aborted = False
 
-    # ------------------------------------------------------------------
-    def start(self):
-        """Spawn the front-end; returns the dispatch process.
-
-        The dispatch process only completes after the arrival stream
-        ends *and* the queue drains, so awaiting it awaits the whole
-        front-end.
-        """
-        self.process = self.ctx.engine.process(
-            self._main(), name=f"serving/{self.job.name}")
-        return self.process
-
-    def _main(self):
-        if self.spec.start_delay_ms > 0:
-            yield self.ctx.engine.timeout(self.spec.start_delay_ms)
-        try:
-            self.policy.register_job(self.job)
-        except OutOfMemoryError as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="register")
-            self.policy.on_job_crashed(self.job, str(exc))
-            self.stats.crashed = True
-            return
-        self.job.stats.started_at = self.ctx.engine.now
-        self._runlog.emit("job_started", job=self.job.name,
-                          model=self.job.model.name,
-                          device=self.job.assigned_device,
-                          priority=self.job.priority,
-                          kind="serving")
-        self._arrival_process = self.ctx.engine.process(
-            self._arrivals(), name=f"arrivals/{self.job.name}")
-        try:
-            yield from self._dispatch_loop()
-        except (OutOfMemoryError, InjectedJobCrash) as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="run")
-            self.policy.on_job_crashed(self.job, str(exc))
-            self.stats.crashed = True
-            self._abort_outstanding(str(exc))
-        finally:
-            self.job.stats.finished_at = self.ctx.engine.now
-            self._runlog.emit(
-                "job_finished", job=self.job.name,
-                iterations=len(self.job.stats.iteration_times_ms),
-                crashed=self.job.stats.crashed)
-            self.policy.unregister_job(self.job)
+    def _crashed(self, reason: str, phase: str) -> None:
+        super()._crashed(reason, phase)
+        self.stats.crashed = True
+        if phase == "run":
+            self._abort_outstanding()
 
     # ------------------------------------------------------------------
     # Arrival side
@@ -260,8 +211,8 @@ class ServingFrontEnd:
                 self._shed(request, "queue-full")
             else:
                 admitted.inc()
-                emit_decision(
-                    self._runlog, "request_admit", job=job,
+                self._runlog.emit_decision(
+                    "request_admit", job=job,
                     req=rid, queue_depth=self.queue.depth,
                     policy=self.spec.shed_policy)
             self._gauge_depth()
@@ -277,8 +228,8 @@ class ServingFrontEnd:
             job=job, reason=reason).inc()
         self._runlog.emit("request_shed", job=job, req=request.rid,
                           reason=reason)
-        emit_decision(
-            self._runlog, "request_shed", job=job, req=request.rid,
+        self._runlog.emit_decision(
+            "request_shed", job=job, req=request.rid,
             chosen=reason, queue_depth=self.queue.depth,
             policy=self.spec.shed_policy,
             queue_capacity=self.spec.queue_capacity)
@@ -291,9 +242,12 @@ class ServingFrontEnd:
     # ------------------------------------------------------------------
     # Dispatch side
     # ------------------------------------------------------------------
-    def _dispatch_loop(self):
+    def _body(self):
+        """Arrivals in their own process; batches dispatched here until
+        the arrival stream ends and the queue drains."""
         engine = self.ctx.engine
         job = self.job
+        engine.process(self._arrivals(), name=f"arrivals/{job.name}")
         iteration = 0
         while True:
             batch = yield from self.batcher.form()
@@ -302,8 +256,8 @@ class ServingFrontEnd:
             self._maybe_crash()
             self.stats.batches.append(batch)
             self._gauge_depth()
-            emit_decision(
-                self._runlog, "batch_close", job=job.name,
+            self._runlog.emit_decision(
+                "batch_close", job=job.name,
                 chosen=batch.reason, batch=batch.batch_id,
                 size=len(batch), waited_ms=round(batch.wait_ms, 3),
                 queue_depth=self.queue.depth,
@@ -323,25 +277,6 @@ class ServingFrontEnd:
                                               engine.now))
             iteration += 1
 
-    def _maybe_crash(self) -> None:
-        """Honor an injected crash at the batch boundary (a safe point:
-        no gate held, no run in flight)."""
-        injector = self.ctx.faults
-        if injector is None:
-            return
-        reason = injector.crash_requested(self.job.name)
-        if reason is not None:
-            raise InjectedJobCrash(self.job.name, reason)
-
-    def _acquire_compute(self):
-        started = self.ctx.engine.now
-        grant = yield from self.policy.acquire_compute(self.job)
-        self._metrics.histogram(
-            "sched.acquire_wait_ms",
-            "time blocked acquiring the compute stage",
-            job=self.job.name).observe(self.ctx.engine.now - started)
-        return grant
-
     def _dispatch_batch(self, iteration: int):
         """One batch = one session iteration (CPU stage + GPU stage).
 
@@ -353,49 +288,16 @@ class ServingFrontEnd:
         job, policy = self.job, self.policy
         session = job.session
         data_pool = self.ctx.data_pool_for(job.name)
-        if policy.fused_sessions:
-            yield from policy.acquire_pipeline(job)
-            try:
-                yield from session.run_cpu_stage(data_pool, iteration)
-                grant = yield from self._acquire_compute()
-                try:
-                    run = session.start_gpu_stage(
-                        grant.pool, grant.device_name, iteration,
-                        preallocated=grant.preallocated)
-                except OutOfMemoryError:
-                    policy.release_compute(job, grant, "oom")
-                    raise
-                outcome = yield run.done
-                session.finish_gpu_stage(run, iteration)
-                policy.release_compute(job, grant, outcome)
-            finally:
-                policy.release_pipeline(job)
-            return
         yield from policy.acquire_pipeline(job)
         try:
             yield from session.run_cpu_stage(data_pool, iteration)
+            if policy.fused_sessions:
+                grant = yield from self._acquire_compute()
+                yield from self._compute_once(iteration, grant)
         finally:
             policy.release_pipeline(job)
-        completed = set()
-        while True:
-            grant = yield from self._acquire_compute()
-            if job.assigned_device != grant.device_name:
-                policy.release_compute(job, grant, "stale")
-                continue
-            try:
-                run = session.start_gpu_stage(
-                    grant.pool, grant.device_name, iteration,
-                    completed=completed,
-                    preallocated=grant.preallocated)
-            except OutOfMemoryError:
-                policy.release_compute(job, grant, "oom")
-                raise
-            outcome = yield run.done
-            completed |= run.completed
-            session.finish_gpu_stage(run, iteration)
-            policy.release_compute(job, grant, outcome)
-            if outcome == "completed":
-                return
+        if not policy.fused_sessions:
+            yield from self._compute_until_done(iteration)
 
     def _complete(self, batch: Batch) -> None:
         engine = self.ctx.engine
@@ -426,13 +328,12 @@ class ServingFrontEnd:
                 batch=batch.batch_id,
                 latency_ms=round(request.latency_ms, 3))
 
-    def _abort_outstanding(self, reason: str) -> None:
+    def _abort_outstanding(self) -> None:
         """Terminal-ize every live request after a crash, so the
         request-span invariant (arrive => complete xor shed) holds even
         on the failure path. Arrivals still pending in the trace stop
         at their next wakeup (they never "arrive", so they owe no
         terminal event)."""
-        del reason
         self._aborted = True
         outstanding = self.queue.drain()
         self.queue.close()
@@ -478,64 +379,26 @@ def run_serving(ctx: RunContext,
                 horizon_ms: float = DEFAULT_HORIZON_MS) -> ServingResult:
     """Run serving front-ends (plus background jobs) to completion.
 
-    Background jobs iterate until every front-end drains, mirroring
-    :func:`~repro.workloads.colocation.run_colocation`'s foreground/
-    background protocol. The active run options attach like in
-    ``run_colocation``; the context's serving overrides then apply to
-    every spec.
+    Background jobs iterate until every front-end drains, through the
+    harness :func:`~repro.workloads.colocation.run_colocation` runs on
+    (options attach, watchdog, horizon deadline, analysis); the
+    context's serving overrides then apply to every spec.
     """
     if not served:
         raise ValueError("no served models")
     background = list(background or [])
-    policy = policy_factory(ctx)
-    current_options().attach(ctx, policy)
-    specs = [spec.resolved(ctx.serving, ctx.rng) for spec in served]
 
-    frontends = [ServingFrontEnd(policy, spec) for spec in specs]
-    stop_signal = ctx.engine.event()
-    drivers = [
-        JobDriver(policy, spec.job, iterations=spec.iterations,
-                  start_delay_ms=spec.start_delay_ms,
-                  request_interval_ms=spec.request_interval_ms,
-                  stop_event=stop_signal if spec.background else None)
-        for spec in background]
-    front_processes = [frontend.start() for frontend in frontends]
-    driver_processes = [driver.start() for driver in drivers]
+    def frontends(policy):
+        # Built after the options attach, so the context's serving
+        # overrides apply to every spec.
+        return [ServingFrontEnd(policy, spec.resolved(ctx.serving, ctx.rng))
+                for spec in served]
 
-    def _watchdog():
-        yield ctx.engine.all_of(front_processes)
-        if not stop_signal.triggered:
-            stop_signal.succeed()
-
-    ctx.engine.process(_watchdog(), name="serving-watchdog")
-    done = ctx.engine.all_of(front_processes + driver_processes)
-    deadline = ctx.engine.timeout(horizon_ms)
-    ctx.engine.run(until=ctx.engine.any_of([done, deadline]))
-    if not done.triggered:
-        dump_flight_record(ctx, "serving-deadlock-abort", policy=policy)
-        finalize_concurrency(ctx, label="serving-deadlock-abort")
-        raise RuntimeError(
-            f"serving scenario exceeded {horizon_ms} simulated ms")
-
+    drivers = run_drivers(ctx, policy_factory, background, horizon_ms,
+                          "serving", front=frontends)
     result = ServingResult(ctx=ctx)
-    jobs = []
-    for frontend in frontends:
+    for frontend in drivers[:len(served)]:
         result.serving[frontend.job.name] = frontend.stats
-        jobs.append(frontend.job)
     for spec in background:
         result.stats[spec.job.name] = spec.job.stats
-        jobs.append(spec.job)
-    for job in jobs:
-        if job not in ctx.jobs:
-            ctx.jobs.append(job)
-
-    label = ",".join(job.name for job in jobs)
-    try:
-        enforce(ctx, policy=policy,
-                sessions=[job.session for job in jobs], label=label)
-    except Exception:
-        dump_flight_record(ctx, "sanitization-error", policy=policy)
-        raise
-    finally:
-        finalize_concurrency(ctx, label=label)
     return result

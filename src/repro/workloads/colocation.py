@@ -3,7 +3,8 @@
 This is the engine room of the Figure 6 / Figure 7 / Figure 10
 experiments: a background job (usually training) plus one or more
 foreground jobs (usually an inference stream), all sharing a machine
-under the policy being evaluated.
+under the policy being evaluated. :func:`run_drivers` is the one harness
+tail: :func:`~repro.serving.frontend.run_serving` ends in it too.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ from repro.metrics.latency import LatencySummary
 from repro.metrics.throughput import JobStats
 from repro.workloads.drivers import JobDriver
 
-
-def dump_flight_record(ctx, reason, policy=None):
-    """Deferred :func:`repro.obs.audit.dump_flight_record` (cold abort
-    path; keeps ``python -m repro.obs.audit`` runpy-clean)."""
-    from repro.obs import audit
-
-    return audit.dump_flight_record(ctx, reason, policy=policy)
 
 # Generous ceiling so a wedged experiment fails loudly instead of
 # spinning forever (simulated hours, not wall time).
@@ -79,12 +73,36 @@ def run_colocation(ctx: RunContext,
     """
     if not specs:
         raise ValueError("no jobs to run")
+    run_drivers(ctx, policy_factory, specs, horizon_ms, "colocation")
+    result = CollocationResult(ctx=ctx)
+    for spec in specs:
+        result.stats[spec.job.name] = spec.job.stats
+    return result
+
+
+def run_drivers(ctx: RunContext,
+                policy_factory: Callable[[RunContext], SchedulingPolicy],
+                specs: List[JobSpec], horizon_ms: float, scenario: str,
+                front: Optional[Callable[[SchedulingPolicy],
+                                         List[JobDriver]]] = None
+                ) -> List[JobDriver]:
+    """Run one driver per spec, after ``front(policy)``'s, to completion.
+
+    The active run options (runner --faults/--timeseries/--concurrency/
+    --serving) attach to the context what the caller did not, before
+    ``front`` builds its drivers. Processes start in order: the front
+    drivers, the spec drivers, then the watchdog (same-instant events
+    run in that order). Background drivers stop once every other driver
+    has finished. A run still going at ``horizon_ms`` dumps a flight
+    record and raises; a finished one records its jobs and policy on
+    ``ctx`` and is checked by whatever analysis the options enable.
+    Returns the drivers in start order.
+    """
     policy = policy_factory(ctx)
-    # The active run options (runner --faults/--timeseries/
-    # --concurrency/--serving) attach what the caller did not.
     current_options().attach(ctx, policy)
-    stop_signal = ctx.engine.event()
-    drivers: List[JobDriver] = [
+    engine = ctx.engine
+    stop_signal = engine.event()
+    drivers = (front(policy) if front is not None else []) + [
         JobDriver(
             policy, spec.job, iterations=spec.iterations,
             start_delay_ms=spec.start_delay_ms,
@@ -92,48 +110,48 @@ def run_colocation(ctx: RunContext,
             stop_event=stop_signal if spec.background else None)
         for spec in specs]
     processes = [driver.start() for driver in drivers]
-
-    foreground = [process for process, spec in zip(processes, specs,
-                                                   strict=True)
-                  if not spec.background]
-    watched = foreground if foreground else processes
+    watched = [driver.process for driver in drivers
+               if driver.stop_event is None] or processes
 
     def _watchdog():
-        yield ctx.engine.all_of(watched)
+        yield engine.all_of(watched)
         if not stop_signal.triggered:
             stop_signal.succeed()
 
-    ctx.engine.process(_watchdog(), name="colocation-watchdog")
-    done = ctx.engine.all_of(processes)
-    deadline = ctx.engine.timeout(horizon_ms)
-    ctx.engine.run(until=ctx.engine.any_of([done, deadline]))
+    engine.process(_watchdog(), name=f"{scenario}-watchdog")
+    done = engine.all_of(processes)
+    deadline = engine.timeout(horizon_ms)
+    engine.run(until=engine.any_of([done, deadline]))
     if not done.triggered:
         # Deadlock abort: capture the flight record (open spans,
         # pending decisions, gate state, concurrency waits) before
-        # anything unwinds.
+        # anything unwinds. Both cold paths import the recorder late,
+        # keeping ``python -m repro.obs.audit`` runpy-clean.
+        from repro.obs.audit import dump_flight_record
+
         dump_flight_record(ctx, "deadlock-abort", policy=policy)
         finalize_concurrency(ctx, label="deadlock-abort")
         raise RuntimeError(
-            f"colocation scenario exceeded {horizon_ms} simulated ms")
+            f"{scenario} scenario exceeded {horizon_ms} simulated ms")
 
-    result = CollocationResult(ctx=ctx)
-    for spec in specs:
-        result.stats[spec.job.name] = spec.job.stats
-        if spec.job not in ctx.jobs:
-            ctx.jobs.append(spec.job)
-
+    jobs = [driver.job for driver in drivers]
+    for job in jobs:
+        if job not in ctx.jobs:
+            ctx.jobs.append(job)
+    ctx.policy = policy
     # Under --sanitize (the sanitize run option), verify the paper's
     # trace invariants and the session graphs; ERROR findings raise.
-    label = ",".join(spec.job.name for spec in specs)
+    label = ",".join(job.name for job in jobs)
     try:
         enforce(ctx, policy=policy,
-                sessions=[spec.job.session for spec in specs],
-                label=label)
+                sessions=[job.session for job in jobs], label=label)
     except Exception:
+        from repro.obs.audit import dump_flight_record
+
         dump_flight_record(ctx, "sanitization-error", policy=policy)
         raise
     finally:
         # Uninstall the tracker's hooks and (outside --sanitize, which
         # folds the findings into enforce's report) publish its report.
         finalize_concurrency(ctx, label=label)
-    return result
+    return drivers

@@ -26,7 +26,15 @@ PREFETCH_DEPTH = 2
 
 
 class JobDriver:
-    """Runs one job under a policy for a fixed number of iterations."""
+    """Runs one job under a policy for a fixed number of iterations.
+
+    The lifecycle (register, ``job_*`` records, crash handling,
+    unregister) lives in :meth:`_main`; :meth:`_body` is the work
+    between register and unregister, which a subclass may replace.
+    """
+
+    #: Prefix of the driver process's name.
+    role = "driver"
 
     def __init__(self, policy: SchedulingPolicy, job: JobHandle,
                  iterations: int, start_delay_ms: float = 0.0,
@@ -58,11 +66,16 @@ class JobDriver:
     def start(self):
         """Spawn the driver process; returns it (an awaitable event)."""
         self.process = self.ctx.engine.process(
-            self._main(), name=f"driver/{self.job.name}")
+            self._main(), name=f"{self.role}/{self.job.name}")
         return self.process
 
     def _stopped(self) -> bool:
         return self.stop_event is not None and self.stop_event.triggered
+
+    @property
+    def kind(self) -> str:
+        """The ``kind`` its ``job_started`` record carries."""
+        return self.job.kind
 
     def _main(self):
         if self.start_delay_ms > 0:
@@ -70,26 +83,18 @@ class JobDriver:
         try:
             self.policy.register_job(self.job)
         except OutOfMemoryError as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="register")
-            self.policy.on_job_crashed(self.job, str(exc))
+            self._crashed(str(exc), "register")
             return
         self.job.stats.started_at = self.ctx.engine.now
         self._runlog.emit("job_started", job=self.job.name,
                           model=self.job.model.name,
                           device=self.job.assigned_device,
                           priority=self.job.priority,
-                          kind=self.job.kind)
+                          kind=self.kind)
         try:
-            yield from self._run_with_restarts()
-        except OutOfMemoryError as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="run")
-            self.policy.on_job_crashed(self.job, str(exc))
-        except InjectedJobCrash as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="run")
-            self.policy.on_job_crashed(self.job, str(exc))
+            yield from self._body()
+        except (OutOfMemoryError, InjectedJobCrash) as exc:
+            self._crashed(str(exc), "run")
         finally:
             self.job.stats.finished_at = self.ctx.engine.now
             self._runlog.emit(
@@ -98,7 +103,13 @@ class JobDriver:
                 crashed=self.job.stats.crashed)
             self.policy.unregister_job(self.job)
 
-    def _run_with_restarts(self):
+    def _crashed(self, reason: str, phase: str) -> None:
+        """The job died at ``phase`` (``register`` or ``run``)."""
+        self._runlog.emit("job_crashed", job=self.job.name,
+                          reason=reason, phase=phase)
+        self.policy.on_job_crashed(self.job, reason)
+
+    def _body(self):
         """Run the iteration loop; crashes restart from the checkpoint.
 
         Without a fault injector attached this is exactly the old
@@ -166,6 +177,22 @@ class JobDriver:
                 self._runlog.emit("checkpoint", job=self.job.name,
                                   iteration=iteration + 1)
 
+    def _arrival(self, stream_start: float, index: int,
+                 closed_start: float):
+        """When request ``index`` of the stream counts as started.
+
+        Open loop: its scheduled arrival, waited for if still ahead, so
+        backlog shows up as queueing in its latency. Closed loop:
+        ``closed_start``.
+        """
+        if self.request_interval_ms is None:
+            return closed_start
+        engine = self.ctx.engine
+        arrival = stream_start + index * self.request_interval_ms
+        if engine.now < arrival:
+            yield engine.timeout(arrival - engine.now)
+        return arrival
+
     def _acquire_compute(self):
         """Policy acquire with the wait observed (gated or not)."""
         started = self.ctx.engine.now
@@ -200,14 +227,8 @@ class JobDriver:
             if self._stopped():
                 return
             self._maybe_crash()
-            if self.request_interval_ms is not None:
-                arrival = (stream_start + (iteration - start)
-                           * self.request_interval_ms)
-                if engine.now < arrival:
-                    yield engine.timeout(arrival - engine.now)
-                iter_start = arrival
-            else:
-                iter_start = engine.now
+            iter_start = yield from self._arrival(
+                stream_start, iteration - start, engine.now)
             yield from policy.acquire_pipeline(job)
             try:
                 if prefetched < iteration:
@@ -258,18 +279,10 @@ class JobDriver:
                 self._maybe_crash()
                 cycle_start = engine.now
                 yield buffer.get()
-                if self.request_interval_ms is not None:
-                    # Open loop: latency is measured from the request's
-                    # scheduled arrival, so backlog shows up as queueing.
-                    arrival = (stream_start + (iteration - start)
-                               * self.request_interval_ms)
-                    if engine.now < arrival:
-                        yield engine.timeout(arrival - engine.now)
-                    iter_start = arrival
-                else:
-                    # Closed loop: the input-pipeline wait is part of the
-                    # session, as the paper's Figure 3 methodology counts.
-                    iter_start = cycle_start
+                # Closed loop: the input-pipeline wait is part of the
+                # session, as the paper's Figure 3 methodology counts.
+                iter_start = yield from self._arrival(
+                    stream_start, iteration - start, cycle_start)
                 yield from self._compute_until_done(iteration)
                 self._record_iteration(iter_start, iteration)
         finally:

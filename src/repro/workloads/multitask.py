@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core.context import RunContext
-from repro.hw.memory import OutOfMemoryError
 from repro.metrics.throughput import JobStats
 from repro.models.base import ModelSpec
 from repro.runtime.session import Session
@@ -118,8 +117,5 @@ def run_multitask(ctx: RunContext, models: List[ModelSpec], batch: int,
                 session.release()
 
     driver = ctx.engine.process(_lockstep(), name="mt/lockstep")
-    try:
-        ctx.engine.run(until=driver)
-    except OutOfMemoryError:
-        raise
+    ctx.engine.run(until=driver)
     return result

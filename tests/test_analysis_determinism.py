@@ -147,6 +147,16 @@ class TestSetIteration:
         """
         assert lint(source, path="src/repro/faults/injection.py")
 
+    def test_drivers_and_baselines_are_order_sensitive(self):
+        # Job drivers and baseline policies feed the agenda as directly
+        # as the scheduler core does.
+        source = """
+            for job in set(jobs):
+                start(job)
+        """
+        assert lint(source, path="src/repro/workloads/drivers.py")
+        assert lint(source, path="src/repro/baselines/mps.py")
+
     def test_topology_module_is_order_sensitive(self):
         # hw/ is mostly passive specs, but topology's route/placement
         # enumeration orders gang-scheduling decisions.

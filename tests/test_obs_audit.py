@@ -43,7 +43,7 @@ class TestEmission:
         runlog = RunLog(enabled=False)
         assert emit_decision(runlog, "admit", job="a") is None
         assert emit_decision(runlog, "admit", job="b") is None
-        assert not hasattr(runlog, "_decision_seq")
+        assert runlog.decision_seq == 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,17 @@ class TestCli:
         assert "  0  solo/ResNet50  (end " in out
         assert "  1  resnet50-0, resnet50-1  (end " in out
 
+    @pytest.mark.parametrize("experiment", ["serving", "fault_sweep"])
+    def test_cell_labels_name_policy_and_faults(self, capsys, experiment):
+        assert main([experiment, "--quick"]) == 0
+        labels = [line.split(None, 1)[1]
+                  for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert len(labels) > 1
+        assert len(set(labels)) == len(labels)
+        assert "SwitchFlowPolicy" in labels[1]
+        if experiment == "fault_sweep":
+            assert all(", faults " in label for label in labels)
+
     def test_report_with_exports(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "run.jsonl"

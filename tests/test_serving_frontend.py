@@ -294,3 +294,35 @@ class TestRunServing:
         kinds = {r.get("kind") for r in ctx.runlog.records
                  if r.get("event") == "sched_decision"}
         assert {"request_admit", "batch_close"} <= kinds
+
+
+class TestServingFailurePaths:
+    def test_horizon_guard_raises_and_dumps_one_flight_record(
+            self, tmp_path):
+        with use_options(RunOptions(out=tmp_path)):
+            ctx = make_context(v100_server, 2, seed=0)
+            with pytest.raises(RuntimeError):
+                run_serving(ctx, SwitchFlowPolicy, [serve_spec(ctx)],
+                            [background_spec(ctx)], horizon_ms=50.0)
+        assert len(list((tmp_path / "flight").iterdir())) == 1
+
+    def test_crash_of_the_served_job_aborts_its_requests(self):
+        from repro.analysis.sanitizer import sanitize_run
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan.from_dict({"faults": [
+            {"kind": "job_crash", "trigger": {"at_ms": 400.0},
+             "job": "serve"}]})
+        ctx = make_context(v100_server, 2, seed=0, fault_plan=plan)
+        result = run_serving(ctx, SwitchFlowPolicy, [serve_spec(ctx)],
+                             [background_spec(ctx)])
+        stream = result.served("serve")
+        assert stream.crashed
+        assert "serve" in result.crashed_jobs()
+        assert stream.completed > 0
+        assert stream.shed_by_reason.get("aborted", 0) > 0
+        for request in stream.requests:
+            terminal = [request.completed_ms is not None,
+                        request.shed_reason is not None]
+            assert terminal.count(True) == 1
+        assert sanitize_run(ctx).by_check("request-span") == []
