@@ -2,10 +2,7 @@
 
 Three families, matching the hot paths the simulator spends its time in:
 
-* ``engine.*`` — raw event-loop throughput (events/sec), measured on
-  both the engine and the one-heap reference loop it replaced
-  (:class:`~repro.sim.heap_engine.HeapEngine`), so every run records
-  its own speedup.
+* ``engine.*`` — raw event-loop throughput (events/sec), best of N.
 * ``executor.dispatch`` — node dispatch rate of a real solo workload
   (graph nodes + pool tasks per wall second of simulation), measured
   interleaved with its instrumented variants (``obs.overhead``,
@@ -63,7 +60,6 @@ from repro.hw import (
 from repro.models import get_model
 from repro.sim import Engine, Tracer
 from repro.sim.events import Event
-from repro.sim.heap_engine import HeapEngine
 from repro.workloads import JobSpec, run_colocation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,29 +81,22 @@ _ROUTE_LOOKUPS = (100_000, 300_000)
 _SERVING_DURATION_MS = (1_500.0, 6_000.0)
 _TRACE_SPANS = (10_000, 50_000)
 _GPU_LAUNCH_KERNELS = (20_000, 60_000)
-# Each engine pair is run this many times per side, keeping the best
-# rate. One shot on a shared single-core container carries ±15% noise,
-# which is enough to flip a 3x speedup to 2.6x run-to-run; best-of-N
-# converges on the machine's actual capability for both sides equally.
+# Each engine bench is run this many times, keeping the best rate. One
+# shot on a shared container carries ±15% noise; best-of-N converges on
+# the machine's actual capability.
 _ENGINE_REPEATS = (2, 5)
-
-
-def _make_engine(optimized: bool) -> Engine:
-    # The baseline is the one-heap reference loop.
-    return Engine() if optimized else HeapEngine()
 
 
 # ---------------------------------------------------------------------------
 # Engine family
 # ---------------------------------------------------------------------------
-def bench_engine_dispatch(optimized: bool, events: int,
-                          batch: int = 10_000) -> float:
+def bench_engine_dispatch(events: int, batch: int = 10_000) -> float:
     """schedule+dispatch rate: pre-created events succeed in batches.
 
-    This isolates the scheduling core — agenda insert, merged pop,
-    callback dispatch — through the FIFO of events due now.
+    This isolates the scheduling core — agenda insert, pop, callback
+    dispatch — with every event due now.
     """
-    engine = _make_engine(optimized)
+    engine = Engine()
     processed = 0
 
     def callback(_event) -> None:
@@ -133,9 +122,9 @@ def bench_engine_dispatch(optimized: bool, events: int,
     return processed / elapsed
 
 
-def bench_engine_timeouts(optimized: bool, events: int) -> float:
-    """Heap-lane throughput: timeouts with staggered future delays."""
-    engine = _make_engine(optimized)
+def bench_engine_timeouts(events: int) -> float:
+    """Timeout throughput: staggered future delays."""
+    engine = Engine()
     processed = 0
 
     def callback(_event) -> None:
@@ -152,10 +141,9 @@ def bench_engine_timeouts(optimized: bool, events: int) -> float:
     return processed / elapsed
 
 
-def bench_engine_processes(optimized: bool, events: int,
-                           processes: int = 50) -> float:
+def bench_engine_processes(events: int, processes: int = 50) -> float:
     """End-to-end loop rate with generator processes yielding timeouts."""
-    engine = _make_engine(optimized)
+    engine = Engine()
     steps = events // processes
 
     def proc(env):
@@ -170,17 +158,17 @@ def bench_engine_processes(optimized: bool, events: int,
     return (steps * processes) / elapsed
 
 
-def bench_engine_mixed(optimized: bool, events: int) -> float:
+def bench_engine_mixed(events: int) -> float:
     """Realistic blend: processes, future timeouts and immediate chains.
 
-    The single-family benches isolate one agenda lane each; real runs
+    The single-family benches isolate one event pattern each; real runs
     interleave all three. A third of the events step generator
     processes, a third are staggered future timeouts, and a third are
-    re-arming chains that alternate between the due-now FIFO and short
-    future delays — so bucket churn and same-time appends happen in
+    re-arming chains that alternate between events due now and short
+    future delays — so same-time appends and future inserts happen in
     one loop.
     """
-    engine = _make_engine(optimized)
+    engine = Engine()
     third = events // 3
     processed = 0
 
@@ -222,20 +210,12 @@ def bench_engine_mixed(optimized: bool, events: int) -> float:
     return total / elapsed
 
 
-def _engine_pair(bench, events: int, repeats: int = 1) -> dict:
-    # Interleave the two sides so a slow stretch of the host (another
-    # container's burst, thermal dip) degrades both equally instead of
-    # whichever side's block it happened to land on.
-    baseline = optimized = 0.0
-    for _ in range(repeats):
-        baseline = max(baseline, bench(False, events))
-        optimized = max(optimized, bench(True, events))
+def _engine_rate(bench, events: int, repeats: int) -> dict:
     return {
         "events": events,
         "repeats": repeats,
-        "baseline_events_per_sec": round(baseline),
-        "optimized_events_per_sec": round(optimized),
-        "speedup": round(optimized / baseline, 3),
+        "events_per_sec": round(max(bench(events)
+                                    for _ in range(repeats))),
     }
 
 
@@ -747,16 +727,16 @@ def run_suite(mode: str = "quick", output: Path = DEFAULT_OUTPUT) -> dict:
         "mode": mode,
         "generated_by": "benchmarks/bench_core.py",
         "benchmarks": {
-            "engine.dispatch": _engine_pair(
+            "engine.dispatch": _engine_rate(
                 bench_engine_dispatch, _ENGINE_DISPATCH_EVENTS[size],
                 repeats),
-            "engine.timeout": _engine_pair(
+            "engine.timeout": _engine_rate(
                 bench_engine_timeouts, _ENGINE_TIMEOUT_EVENTS[size],
                 repeats),
-            "engine.process": _engine_pair(
+            "engine.process": _engine_rate(
                 bench_engine_processes, _ENGINE_PROCESS_EVENTS[size],
                 repeats),
-            "engine.mixed": _engine_pair(
+            "engine.mixed": _engine_rate(
                 bench_engine_mixed, _ENGINE_MIXED_EVENTS[size], repeats),
             "executor.dispatch": bench_executor_dispatch(
                 dispatch, iterations),
@@ -790,9 +770,8 @@ def _print_summary(payload: dict) -> None:
     for name in ("engine.dispatch", "engine.timeout", "engine.process",
                  "engine.mixed"):
         entry = benches[name]
-        print(f"{name}: baseline {entry['baseline_events_per_sec']:,} ev/s"
-              f" -> optimized {entry['optimized_events_per_sec']:,} ev/s"
-              f" ({entry['speedup']}x)")
+        print(f"{name}: {entry['events_per_sec']:,} ev/s best of "
+              f"{entry['repeats']}")
     executor = benches["executor.dispatch"]
     print(f"executor.dispatch: {executor['nodes_per_sec']:,} nodes/s best, "
           f"{executor['nodes_per_sec_median']:,} median, "
@@ -856,8 +835,9 @@ def test_bench_core(once, tmp_path):
     benches = payload["benchmarks"]
     # Loose sanity floors (CI machines are noisy); the committed
     # BENCH_core.json records the real numbers.
-    assert benches["engine.dispatch"]["speedup"] > 1.2
-    assert benches["engine.mixed"]["speedup"] > 1.0
+    for name in ("engine.dispatch", "engine.timeout", "engine.process",
+                 "engine.mixed"):
+        assert benches[name]["events_per_sec"] > 0
     assert benches["cost_model.lookup"]["speedup"] > 1.5
     assert benches["cost_model.lookup"]["cache_hit_rate"] > 0.9
     assert benches["executor.dispatch"]["pool_tasks"] > 0

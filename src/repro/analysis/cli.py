@@ -11,14 +11,16 @@ Subcommands::
 ``lint`` exits 1 on any ERROR finding; ``graphs`` builds each model's
 placed graph and partition and lints both; ``sanitize`` runs the named
 experiments through ``switchflow-experiments --sanitize``, so every
-run's trace is checked and ERROR findings fail the invocation.
+run's trace is checked and ERROR findings fail the invocation. Bad
+input (a missing path or run log, an unknown model) exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import Any, Callable, List, Optional
 
 from repro.analysis.concurrency import (
     deadlock_from_runlog,
@@ -27,6 +29,32 @@ from repro.analysis.concurrency import (
 from repro.analysis.determinism import lint_paths
 from repro.analysis.findings import Report, Severity, merge
 from repro.analysis.graph_lint import lint_graph, lint_partition
+from repro.models import FIGURE3_MODELS, get_model, model_names
+from repro.obs.runlog import RunLog, RunLogError
+
+
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
+             expected: str) -> Callable[[str], Any]:
+    """An argparse ``type``: convert the value, then refuse what ``ok``
+    rejects, so bad input exits 2 with a usage message."""
+    def parse(value: str) -> Any:
+        try:
+            result = convert(value)
+            valid = ok(result)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"{expected}, got {value!r}")
+        return result
+    return parse
+
+
+_existing_path = _checked(str, lambda path: Path(path).exists(),
+                          "expected an existing file or directory")
+_model_name = _checked(str, lambda name: name in model_names(),
+                       f"expected a model ({', '.join(model_names())})")
+_positive_int = _checked(int, lambda number: number >= 1,
+                         "expected a positive integer")
 
 
 def _finish(report: Report, quiet: bool = False) -> int:
@@ -43,7 +71,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_graphs(args: argparse.Namespace) -> int:
     from repro.graph.partition import partition_graph
     from repro.graph.placement import place_graph
-    from repro.models import FIGURE3_MODELS, get_model
     from repro.runtime.session import ACCELERATOR_TAG
 
     names = args.models or FIGURE3_MODELS
@@ -74,13 +101,13 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _cmd_concurrency(args: argparse.Namespace) -> int:
-    import json
-
     reports = [lint_concurrency_paths(args.paths)]
     if args.runlog:
-        with open(args.runlog, encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle
-                       if line.strip()]
+        try:
+            records = RunLog.read(args.runlog)
+        except RunLogError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         reports.append(deadlock_from_runlog(
             records, title=f"concurrency: {args.runlog}"))
     report = merge("concurrency analysis", reports)
@@ -98,15 +125,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     lint = sub.add_parser(
         "lint", help="determinism lint over python sources")
-    lint.add_argument("paths", nargs="+",
+    lint.add_argument("paths", nargs="+", type=_existing_path,
                       help="files or directories to lint")
     lint.set_defaults(fn=_cmd_lint)
 
     graphs = sub.add_parser(
         "graphs", help="build and lint model graphs/partitions")
-    graphs.add_argument("models", nargs="*",
+    graphs.add_argument("models", nargs="*", type=_model_name,
                         help="model names (default: the Figure 3 set)")
-    graphs.add_argument("--batch", type=int, default=32)
+    graphs.add_argument("--batch", type=_positive_int, default=32)
     graphs.set_defaults(fn=_cmd_graphs)
 
     sanitize = sub.add_parser(
@@ -121,7 +148,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     concurrency = sub.add_parser(
         "concurrency", help="concurrency lint (lock/rendezvous usage) "
                             "and post-hoc deadlock replay from a runlog")
-    concurrency.add_argument("paths", nargs="*", default=["src/repro"],
+    concurrency.add_argument("paths", nargs="*", type=_existing_path,
+                             default=["src/repro"],
                              help="files or directories to lint "
                                   "(default: src/repro)")
     concurrency.add_argument("--runlog", metavar="FILE",

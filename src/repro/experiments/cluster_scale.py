@@ -29,7 +29,8 @@ from repro.core import (
     current_options,
     make_context,
 )
-from repro.experiments.common import ExperimentResult, fanout_map
+from repro.experiments.common import (ExperimentResult, fanout_map,
+                                      solo_mean_ms)
 from repro.faults import FaultPlan
 from repro.graph.partition import partition_graph
 from repro.graph.placement import GangMember, GangScheduler, place_graph
@@ -56,10 +57,6 @@ def default_plan() -> FaultPlan:
     from repro.experiments import fault_sweep
 
     return fault_sweep.default_plan()
-
-
-def _fault_free(plan: FaultPlan) -> FaultPlan:
-    return FaultPlan(faults=[], recovery=plan.recovery)
 
 
 def _critical_path_ms(ctx, model, batch: int, training: bool) -> float:
@@ -113,21 +110,6 @@ def _route_class_latencies(ctx) -> Dict[str, List[float]]:
 
 def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
-
-
-def _solo_reference_ms(requests: int, seed: int, plan: FaultPlan) -> float:
-    """Fault-free solo mean latency of the foreground stream."""
-    ctx = make_context(v100_cluster, 1, 1, seed=seed,
-                       fault_plan=_fault_free(plan))
-    job = JobHandle(name="solo-fg", model=get_model(FG_MODEL), batch=1,
-                    training=False, priority=PRIORITY_HIGH,
-                    preferred_device=ctx.machine.gpu(0).name)
-    run_colocation(ctx, SwitchFlowPolicy,
-                   [JobSpec(job=job, iterations=requests)])
-    samples = job.stats.iteration_times_ms[WARMUP:]
-    if not samples:
-        raise RuntimeError("solo reference produced no samples")
-    return sum(samples) / len(samples)
 
 
 def _run_cell(cell) -> Dict[str, object]:
@@ -206,7 +188,11 @@ def run(requests: int = 30, nodes: Sequence[int] = FULL_NODES,
         plan: Optional[FaultPlan] = None) -> ExperimentResult:
     if plan is None:
         plan = current_options().faults or default_plan()
-    slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
+    solo = make_context(v100_cluster, 1, 1, seed=seed,
+                        fault_plan=plan.scaled(0))
+    slo_ms = SLO_FACTOR * solo_mean_ms(solo, SwitchFlowPolicy, "solo-fg",
+                                       get_model(FG_MODEL), 1, requests,
+                                       WARMUP)
 
     payload = plan.to_dict()
     cells = [(n, gpus_per_node, requests, seed, slo_ms, payload)

@@ -14,7 +14,7 @@ from repro.analysis.concurrency import (
     capture_concurrency_reports, write_concurrency_reports,
 )
 from repro.baselines import MultiThreadedTF
-from repro.core import JobHandle, RunContext, make_context
+from repro.core import JobHandle, PRIORITY_HIGH, RunContext, make_context
 from repro.core.options import RunOptions, current_options, use_options
 from repro.core.policy import SchedulingPolicy
 from repro.metrics.throughput import JobStats
@@ -204,6 +204,23 @@ def solo_throughput(machine_builder: Callable, machine_args: Sequence[Any],
                            training, iterations, seed=seed,
                            data_workers=data_workers)
     return stats.throughput_items_per_s(warmup=warmup)
+
+
+def solo_mean_ms(ctx: RunContext, policy_factory: Callable, name: str,
+                 model: ModelSpec, batch: int, iterations: int,
+                 warmup: int) -> float:
+    """Mean iteration time past ``warmup`` of one high-priority
+    inference job alone on ``ctx``: the latency an SLO derives from.
+    Give ``ctx`` the fault plan's ``scaled(0)``: a context without one
+    would take the active ``--faults`` plan from the harness."""
+    job = JobHandle(name=name, model=model, batch=batch, training=False,
+                    priority=PRIORITY_HIGH,
+                    preferred_device=ctx.machine.gpu(0).name)
+    run_colocation(ctx, policy_factory,
+                   [JobSpec(job=job, iterations=iterations)])
+    if len(job.stats.iteration_times_ms) <= warmup:
+        raise RuntimeError(f"{name}: solo reference produced no samples")
+    return job.stats.mean_iteration_ms(warmup)
 
 
 def gpu_idle_percent(ctx: RunContext, stats: JobStats, gpu_lane: str,

@@ -30,7 +30,8 @@ from repro.core import (
     current_options,
     make_context,
 )
-from repro.experiments.common import ExperimentResult, fanout_map
+from repro.experiments.common import (ExperimentResult, fanout_map,
+                                      solo_mean_ms)
 from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
@@ -68,31 +69,6 @@ def default_plan() -> FaultPlan:
             {"kind": "spurious_preempt", "trigger": {"every_ms": 1000.0}},
         ],
     })
-
-
-def _fault_free(plan: FaultPlan) -> FaultPlan:
-    """An empty plan carrying the same recovery config.
-
-    Attached explicitly so the reference runs never pick up the
-    full-rate ``--faults`` plan through the harness.
-    """
-    return FaultPlan(faults=[], recovery=plan.recovery)
-
-
-def _solo_reference_ms(requests: int, seed: int,
-                       plan: FaultPlan) -> float:
-    """Fault-free solo mean latency of the foreground stream."""
-    ctx = make_context(v100_server, 2, seed=seed,
-                       fault_plan=_fault_free(plan))
-    job = JobHandle(name="solo-fg", model=get_model(FG_MODEL), batch=1,
-                    training=False, priority=PRIORITY_HIGH,
-                    preferred_device=ctx.machine.gpu(0).name)
-    run_colocation(ctx, MultiThreadedTF,
-                   [JobSpec(job=job, iterations=requests)])
-    samples = job.stats.iteration_times_ms[WARMUP:]
-    if not samples:
-        raise RuntimeError("solo reference produced no samples")
-    return sum(samples) / len(samples)
 
 
 def _run_cell(cell) -> Dict[str, object]:
@@ -137,7 +113,10 @@ def run(requests: int = 30, rates: Sequence[float] = FULL_RATES,
         plan: Optional[FaultPlan] = None) -> ExperimentResult:
     if plan is None:
         plan = current_options().faults or default_plan()
-    slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
+    solo = make_context(v100_server, 2, seed=seed, fault_plan=plan.scaled(0))
+    slo_ms = SLO_FACTOR * solo_mean_ms(solo, MultiThreadedTF, "solo-fg",
+                                       get_model(FG_MODEL), 1, requests,
+                                       WARMUP)
 
     payload = plan.to_dict()
     cells = [(policy, rate, payload, requests, seed, slo_ms)

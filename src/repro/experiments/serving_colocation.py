@@ -19,14 +19,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import MPSPolicy, MultiThreadedTF, SessionTimeSlicing
-from repro.core.context import make_context
+from repro.core import current_options, make_context
 from repro.core.job import JobHandle, PRIORITY_HIGH, PRIORITY_LOW
 from repro.core.switchflow import SwitchFlowPolicy
-from repro.experiments.common import ExperimentResult, fanout_map
+from repro.experiments.common import (ExperimentResult, fanout_map,
+                                      solo_mean_ms)
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.serving import SLOTarget, ServedModelSpec, make_trace, run_serving
-from repro.workloads.colocation import JobSpec, run_colocation
+from repro.workloads.colocation import JobSpec
 
 #: p99 budget as a multiple of the solo mean batch-service time.
 SLO_FACTOR = 3.0
@@ -51,21 +52,6 @@ FULL_RATES = (15.0, 30.0, 60.0, 90.0)
 QUICK_RATES = (DEFAULT_RATE,)
 FULL_DURATION_MS = 4_000.0
 QUICK_DURATION_MS = 2_000.0
-
-
-def _solo_reference_ms(seed: int) -> float:
-    """Uncontended mean batch-service time of the served model."""
-    ctx = make_context(v100_server, 2, seed=seed)
-    job = JobHandle(name="solo-serve", model=get_model(FG_MODEL),
-                    batch=MAX_BATCH, training=False,
-                    priority=PRIORITY_HIGH,
-                    preferred_device=ctx.machine.gpu(0).name)
-    run_colocation(ctx, MultiThreadedTF,
-                   [JobSpec(job=job, iterations=WARMUP + 10)])
-    samples = job.stats.iteration_times_ms[WARMUP:]
-    if not samples:
-        raise RuntimeError("solo serving reference produced no samples")
-    return sum(samples) / len(samples)
 
 
 def _run_cell(cell) -> Dict[str, object]:
@@ -111,7 +97,12 @@ def _run_cell(cell) -> Dict[str, object]:
 def run(duration_ms: float = FULL_DURATION_MS,
         rates: Sequence[float] = FULL_RATES,
         seed: int = 0) -> ExperimentResult:
-    slo_ms = SLO_FACTOR * _solo_reference_ms(seed)
+    plan = current_options().faults
+    solo = make_context(v100_server, 2, seed=seed,
+                        fault_plan=None if plan is None else plan.scaled(0))
+    slo_ms = SLO_FACTOR * solo_mean_ms(solo, MultiThreadedTF, "solo-serve",
+                                       get_model(FG_MODEL), MAX_BATCH,
+                                       WARMUP + 10, WARMUP)
 
     cells = [(policy, rate, duration_ms, seed, slo_ms)
              for rate in rates for policy in _POLICIES]

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.options import current_options
-from repro.obs.runlog import DECISION_EVENT, KINDS, RunLog
+from repro.obs.runlog import DECISION_EVENT, KINDS, RunLog, RunLogError
 
 #: One emitter: :meth:`RunLog.emit_decision`, importable here as a
 #: function of the log (``emit_decision(runlog, kind, ...)``).
@@ -218,18 +218,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if bool(args.log) == bool(args.experiment):
         parser.error("exactly one of --log / --experiment is required")
-    if args.log:
-        with open(args.log, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-    else:
-        try:
+    try:
+        if args.log:
+            records = RunLog.read(args.log)
+        else:
             ctx = run_cell(args.experiment, args, flag="--experiment")
-        except CellError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        if ctx is None:
-            return 0
-        records = ctx.runlog.records
+            if ctx is None:
+                return 0
+            records = ctx.runlog.records
+    except (RunLogError, CellError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     if args.command == "why":
         record = why(records, args.job, at_ms=args.at, kind=args.kind)

@@ -30,6 +30,11 @@ KINDS = ("admit", "preempt", "migrate", "readmit", "spurious_preempt",
          "request_shed", "batch_close")
 
 
+class RunLogError(ValueError):
+    """A run-log file is missing, unreadable or malformed; the message
+    names the file and, for a bad record, its line."""
+
+
 class RunLog:
     """Append-only, sim-time-stamped event log for one run."""
 
@@ -122,6 +127,31 @@ class RunLog:
                              encoding="utf-8") as fh:
             fh.write(text)
         return text
+
+    @staticmethod
+    def read(path: PathLike) -> List[Dict[str, Any]]:
+        """The records of a JSONL run log, blank lines skipped. Raises
+        :class:`RunLogError` when the file cannot be read or a line is
+        not one JSON object."""
+        try:
+            lines = Path(path).read_text(encoding="utf-8").split("\n")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise RunLogError(f"{path}: cannot read run log: {reason}") \
+                from None
+        records = []
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            if not isinstance(record, dict):
+                raise RunLogError(
+                    f"{path}:{number}: not a JSON object: {line[:60]!r}")
+            records.append(record)
+        return records
 
     @contextmanager
     def sink(self, path: PathLike) -> Iterator["RunLog"]:

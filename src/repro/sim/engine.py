@@ -7,36 +7,16 @@ callbacks — which is how processes get resumed. The engine is fully
 deterministic: two runs with the same seed and the same process
 structure produce identical schedules.
 
-The agenda stores bare event references; where an event sits encodes
-the other three order columns:
-
-* **time** is the key of a calendar bucket: a dict mapping each
-  distinct future timestamp to a FIFO of events, plus a float-only
-  heap of distinct times. Ordering cost is paid per *distinct
-  timestamp*, not per event, and heap sifts compare floats only.
-* **priority** is which FIFO an event sits in: URGENT and NORMAL
-  events never share one.
-* **sequence** is FIFO position: append order *is* schedule order.
-
-Events due at the current time sit in two FIFOs, urgent then normal.
-When the clock advances to a timestamp, its calendar buckets *become*
-those FIFOs, and events triggered at that time append behind them. So
-one time slice drains urgent events, then the bucket (scheduled from
-an earlier time), then the events triggered at this time; an URGENT
-event triggered mid-slice still preempts the NORMAL ones left.
-Processes park in the event's ``_waiter`` slot instead of allocating
-a bound-method callback per step — see DESIGN.md §9.
-
-:class:`repro.sim.heap_engine.HeapEngine` keeps the plain one-heap loop
-as a test oracle; ``tests/test_engine_equivalence.py`` requires both to
-produce bit-identical transcripts.
+The agenda is one binary heap of ``(time, priority, sequence, event)``
+tuples; the sequence number is unique, so the event itself is never
+compared. Processes park in the event's ``_waiter`` slot instead of
+allocating a bound-method callback per step — see DESIGN.md §9.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.sim import instrument as _instrument
 from repro.sim.errors import SimulationError, StopSimulation, UnhandledEventFailure
@@ -67,25 +47,13 @@ class Engine:
 
     # Slots turn every hot-path attribute access (lane routing, clock
     # reads) from a dict lookup into an array load.
-    __slots__ = ("_now", "active_process",
-                 "_buckets", "_urgents", "_times", "_due_urgent", "_due")
+    __slots__ = ("_now", "active_process", "_heap", "_sequence")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self.active_process: Optional[Process] = None
-        # Calendar agenda. Future events live in per-time FIFOs; the
-        # float heap orders the distinct times. A time with both an
-        # urgent and a normal bucket sits in the heap twice, so
-        # consumers skip entries absent from both dicts.
-        self._buckets: Dict[float, Deque[Event]] = {}
-        self._urgents: Dict[float, Deque[Event]] = {}
-        self._times: List[float] = []
-        # Events due at `now`. The calendar never holds a bucket at or
-        # before `now` (buckets are made only for later times, and the
-        # clock moves only to the earliest one or to a horizon before
-        # it), so an event scheduled for `now` joins these directly.
-        self._due_urgent: Deque[Event] = deque()
-        self._due: Deque[Event] = deque()
+        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._sequence = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -97,23 +65,7 @@ class Engine:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or infinity if none."""
-        if self._due_urgent or self._due:
-            return self._now
-        when = self._next_time()
-        return when if when is not None else Infinity
-
-    def _next_time(self) -> Optional[float]:
-        """Next distinct timestamp with pending events, pruning stale
-        times-heap entries (times whose buckets were already drained)."""
-        times = self._times
-        buckets = self._buckets
-        urgents = self._urgents
-        while times:
-            when = times[0]
-            if when in buckets or when in urgents:
-                return when
-            heapq.heappop(times)
-        return None
+        return self._heap[0][0] if self._heap else Infinity
 
     # ------------------------------------------------------------------
     # Event factories (convenience so processes write `yield env.timeout(x)`)
@@ -208,35 +160,20 @@ class Engine:
         """Place a triggered event on the agenda ``delay`` ms from now.
 
         Raises :class:`ValueError` when the fire time would be in the
-        past, infinite or NaN.
+        past, infinite or NaN, and :class:`SimulationError` for a
+        priority other than URGENT or NORMAL.
         """
-        now = self._now
-        when = now + delay
-        # Lane choice keys on the *computed* fire time: a tiny positive
-        # delay can collapse to `when == now`, and such an event is due
-        # now, behind the ones already due.
-        if priority == NORMAL:
-            if when == now:
-                self._due.append(event)
-                return
-            calendar = self._buckets
-        elif priority == URGENT:
-            if when == now:
-                self._due_urgent.append(event)
-                return
-            calendar = self._urgents
-        else:
+        if priority != NORMAL and priority != URGENT:
             raise SimulationError(
                 f"the engine supports URGENT/NORMAL priorities, "
                 f"got {priority}")
-        if not now < when < Infinity:  # a negative, infinite or NaN delay
+        now = self._now
+        when = now + delay
+        if not now <= when < Infinity:  # a negative, infinite or NaN delay
             raise ValueError(
                 f"cannot schedule an event at {when} (now={now})")
-        bucket = calendar.get(when)
-        if bucket is None:
-            bucket = calendar[when] = deque()
-            heapq.heappush(self._times, when)
-        bucket.append(event)
+        self._sequence += 1
+        heapq.heappush(self._heap, (when, priority, self._sequence, event))
 
     def step(self) -> None:
         """Process the single next event on the agenda."""
@@ -246,28 +183,15 @@ class Engine:
         self._dispatch(event)
 
     def _pop(self, horizon: float) -> Optional[Event]:
-        """Remove and return the next event, or None if no event is due
-        at or before ``horizon``. When nothing is due now, the clock
-        advances to the next calendar time and its buckets become the
-        due FIFOs."""
-        while True:
-            if self._due_urgent:
-                return self._due_urgent.popleft()
-            if self._due:
-                return self._due.popleft()
-            when = self._next_time()
-            if when is None or when > horizon:
-                return None
-            heapq.heappop(self._times)
-            if when < self._now:  # pragma: no cover - defensive
-                raise SimulationError("agenda time went backwards")
-            self._now = when
-            urgent = self._urgents.pop(when, None)
-            if urgent is not None:
-                self._due_urgent = urgent
-            bucket = self._buckets.pop(when, None)
-            if bucket is not None:
-                self._due = bucket
+        """Remove and return the next event, advancing the clock to its
+        time, or return None if no event is due at or before
+        ``horizon``."""
+        heap = self._heap
+        if not heap or heap[0][0] > horizon:
+            return None
+        when, _priority, _sequence, event = heapq.heappop(heap)
+        self._now = when
+        return event
 
     def _dispatch(self, event: Event) -> None:
         """Deliver one event: waiter slot first, then listed callbacks."""
@@ -331,7 +255,7 @@ class Engine:
         """Deliver events in order until none is due at or before
         ``horizon``. The agenda lives in the engine's fields between
         two events, so a :class:`StopSimulation`, an unhandled failure
-        or a horizon return leaves the engine resumable mid-slice."""
+        or a horizon return leaves the engine resumable."""
         pop = self._pop
         dispatch = self._dispatch
         event = pop(horizon)

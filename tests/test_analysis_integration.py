@@ -134,6 +134,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "linted 2 graph(s) from 1 model(s)" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["graphs", "NoSuchModel"], "expected a model"),
+        (["graphs", "--batch", "0"], "expected a positive integer"),
+        (["graphs", "--batch", "-3"], "expected a positive integer"),
+        (["lint", "/nonexistent"], "expected an existing file"),
+        (["concurrency", "/nonexistent"], "expected an existing file"),
+    ], ids=["unknown-model", "batch-zero", "batch-negative",
+            "lint-missing-path", "concurrency-missing-path"])
+    def test_bad_input_exits_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            analysis_main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read run log"),
+        ('{"t_ms": 0.0, "event": "a"}\n{oops\n', ":2: not a JSON object"),
+    ], ids=["missing-file", "bad-line"])
+    def test_unreadable_runlog_exits_two(self, tmp_path, capsys, content,
+                                         message):
+        log = tmp_path / "run.jsonl"
+        if content is not None:
+            log.write_text(content)
+        assert analysis_main(["concurrency", "--runlog", str(log),
+                              str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(str(log))
+        assert message in captured.err
+
     def test_sanitize_subcommand_sets_and_restores_env(
             self, monkeypatch, capsys):
         seen = {}

@@ -20,10 +20,9 @@ spec.loader.exec_module(check_regression)
 PAYLOAD = {
     "schema": 1,
     "benchmarks": {
-        "engine.dispatch": {"optimized_events_per_sec": 2_000_000,
-                            "baseline_events_per_sec": 700_000},
-        "engine.timeout": {"optimized_events_per_sec": 230_000},
-        "engine.process": {"optimized_events_per_sec": 750_000},
+        "engine.dispatch": {"events_per_sec": 2_000_000},
+        "engine.timeout": {"events_per_sec": 230_000},
+        "engine.process": {"events_per_sec": 750_000},
         "executor.dispatch": {"nodes_per_sec": 11_000},
         "cost_model.lookup": {"cached_lookups_per_sec": 800_000},
     },
@@ -151,7 +150,7 @@ def test_markdown_written_when_baseline_lacks_gated_rates(tmp_path,
          "--markdown", str(delta)])
     assert status == 2
     table = delta.read_text(encoding="utf-8")
-    assert "engine.dispatch.optimized_events_per_sec" in table
+    assert "engine.dispatch.events_per_sec" in table
     assert table.count("new (not gated)") == len(PAYLOAD["benchmarks"])
     capsys.readouterr()
 

@@ -224,6 +224,23 @@ class TestCli:
         assert main(["why", "a", "--log", str(log)]) == 0
         assert "[admit]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read run log"),
+        ('{"t_ms": 0.0, "event": "a"}\n\n[1, 2]\n',
+         ":3: not a JSON object"),
+        ('{"t_ms": 0.0, "event": "a"}\n{oops\n', ":2: not a JSON object"),
+    ], ids=["missing-file", "not-an-object", "bad-line"])
+    def test_unreadable_log_exits_two(self, tmp_path, capsys, content,
+                                      message):
+        log = tmp_path / "run.jsonl"
+        if content is not None:
+            log.write_text(content)
+        assert main(["list", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(str(log))
+        assert message in captured.err
+
     def test_unknown_job_exits_nonzero(self, capsys):
         code = main(["why", "nobody", "--experiment", "preemption",
                      "--quick", "--cell", "1"])

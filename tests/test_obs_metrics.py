@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry, RunLog, merge_quantiles
+from repro.obs.runlog import RunLogError
 
 
 class FakeClock:
@@ -280,6 +281,22 @@ class TestRunLog:
         log.write(path)
         lines = path.read_text().splitlines()
         assert [json.loads(line)["event"] for line in lines] == ["a", "b"]
+
+    def test_read_returns_what_write_wrote(self, tmp_path):
+        log = RunLog(clock=FakeClock(1.0))
+        log.emit("a", n=1)
+        log.emit("b", victim="x")
+        path = tmp_path / "run.jsonl"
+        log.write(path)
+        assert RunLog.read(path) == log.records
+
+    def test_read_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(RunLogError, match=r"run\.jsonl: cannot read"):
+            RunLog.read(path)
+        path.write_text('{"t_ms": 0.0, "event": "a"}\n"text"\n')
+        with pytest.raises(ValueError, match=r"run\.jsonl:2: not a JSON object"):
+            RunLog.read(path)
 
     def test_disabled_log_records_nothing(self):
         log = RunLog(enabled=False)

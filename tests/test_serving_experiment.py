@@ -1,15 +1,20 @@
 """Serving experiment: runner wiring, seed and --out, headline checks."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.core.context import capture_contexts
 from repro.experiments import serving_colocation
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import main as runner_main
 from repro.core import RunOptions, current_options
 from repro.serving import ServingConfig
 from repro.serving.config import ServingConfigError
+
+FAULTS_BASIC = (Path(__file__).resolve().parent.parent / "examples"
+                / "faults_basic.json")
 
 
 class TestServingConfigParse:
@@ -93,6 +98,24 @@ class TestServingSweep:
             assert row["p99_ms"] > 0
             assert 0.0 <= row["shed_pct"] <= 100.0
         assert "== " + payload["title"] + " ==" in capsys.readouterr().out
+
+    def test_fault_plan_spares_the_solo_reference(self, tmp_path, capsys):
+        # The SLO derives from an uncontended solo run: under --faults
+        # that run injects nothing, and the budget in the title is the
+        # one a run without faults derives.
+        with capture_contexts(select=0) as capture:
+            assert runner_main(["serving", "--quick", "--faults",
+                                str(FAULTS_BASIC), "--out",
+                                str(tmp_path)]) == 0
+        solo = capture.selected
+        assert [job.name for job in solo.jobs] == ["solo-serve"]
+        assert solo.faults.injected_total() == 0
+        faulted = json.loads((tmp_path / "serving.json").read_text())
+        assert runner_main(["serving", "--quick", "--out",
+                            str(tmp_path / "clean")]) == 0
+        clean = json.loads((tmp_path / "clean" / "serving.json")
+                           .read_text())
+        assert faulted["title"] == clean["title"]
 
     def test_seed_flag_respected(self, tmp_path, capsys):
         assert runner_main(["serving", "--quick", "--seed", "7", "--out",

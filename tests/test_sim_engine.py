@@ -4,12 +4,6 @@ import pytest
 
 from repro.sim import Engine, SimulationError
 from repro.sim.errors import UnhandledEventFailure
-from repro.sim.heap_engine import HeapEngine
-
-
-def make_engine(fast):
-    """``fast=True``: the engine; ``fast=False``: the heap oracle."""
-    return Engine() if fast else HeapEngine()
 
 
 def test_clock_starts_at_zero(engine):
@@ -105,10 +99,8 @@ def test_negative_timeout_rejected(engine):
         engine.timeout(-1.0)
 
 
-@pytest.mark.parametrize("fast", [True, False])
 @pytest.mark.parametrize("delay", [-1.0, float("nan")])
-def test_schedule_rejects_past_or_nan_time_at_the_call_site(fast, delay):
-    engine = make_engine(fast)
+def test_schedule_rejects_past_or_nan_time_at_the_call_site(engine, delay):
     engine.timeout(5.0)
     engine.run(until=2.0)
     with pytest.raises(ValueError, match="cannot schedule"):
@@ -119,36 +111,28 @@ def test_schedule_rejects_past_or_nan_time_at_the_call_site(fast, delay):
     assert engine.now == 5.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_nan_timeout_rejected(fast):
-    engine = make_engine(fast)
+def test_nan_timeout_rejected(engine):
     with pytest.raises(ValueError):
         engine.timeout(float("nan"))
     assert engine.peek() == float("inf")
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_infinite_timeout_rejected(fast):
-    engine = make_engine(fast)
+def test_infinite_timeout_rejected(engine):
     with pytest.raises(ValueError, match="cannot schedule"):
         engine.timeout(float("inf"))
     engine.run()
     assert (engine.now, engine.peek()) == (0.0, float("inf"))
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_infinity_leaves_the_clock_on_the_last_event(fast):
+def test_run_until_infinity_leaves_the_clock_on_the_last_event(engine):
     # A caller's own float("inf") is the unbounded horizon too, not a
     # finite one the clock lands on once the agenda drains.
-    engine = make_engine(fast)
     engine.timeout(5.0)
     assert engine.run(until=float("inf")) is None
     assert engine.now == 5.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_nan_rejected(fast):
-    engine = make_engine(fast)
+def test_run_until_nan_rejected(engine):
     engine.timeout(5.0)
     with pytest.raises(ValueError):
         engine.run(until=float("nan"))
@@ -220,9 +204,7 @@ def test_determinism_same_structure_same_schedule():
 # consistent state on every exit path — normal horizon, early drain,
 # StopSimulation, and the _stop_on defuse path for a failed until-event.
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_failed_event_reraises_and_keeps_clock(fast):
-    engine = make_engine(fast)
+def test_run_until_failed_event_reraises_and_keeps_clock(engine):
     watched = engine.event()
 
     def saboteur(env):
@@ -244,9 +226,7 @@ def test_run_until_failed_event_reraises_and_keeps_clock(fast):
     assert engine.now == 10.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_number_drain_early_lands_on_horizon_once(fast):
-    engine = make_engine(fast)
+def test_run_until_number_drain_early_lands_on_horizon_once(engine):
 
     def proc(env):
         yield env.timeout(2.0)
@@ -262,9 +242,7 @@ def test_run_until_number_drain_early_lands_on_horizon_once(fast):
     assert engine.now == 60.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_event_does_not_advance_to_later_agenda(fast):
-    engine = make_engine(fast)
+def test_run_until_event_does_not_advance_to_later_agenda(engine):
     stop = engine.event()
 
     def trigger(env):
@@ -280,11 +258,8 @@ def test_run_until_event_does_not_advance_to_later_agenda(fast):
     assert engine.now == 5.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_number_resumes_pending_entry(fast):
+def test_run_until_number_resumes_pending_entry(engine):
     # An entry beyond the horizon must survive for the next run() call
-    # (the fast loop pushes it back onto the heap).
-    engine = make_engine(fast)
     fired = []
 
     def proc(env):
@@ -299,19 +274,15 @@ def test_run_until_number_resumes_pending_entry(fast):
     assert fired == [7.0]
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_timeout_waits_for_it(fast):
+def test_run_until_timeout_waits_for_it(engine):
     # A Timeout is triggered from birth; run(until=...) must still let
     # the clock reach it rather than return its value at once.
-    engine = make_engine(fast)
     assert engine.run(until=engine.timeout(5.0, value="done")) == "done"
     assert engine.now == 5.0
     assert engine.peek() == float("inf")
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_succeeded_event_runs_earlier_events_first(fast):
-    engine = make_engine(fast)
+def test_run_until_succeeded_event_runs_earlier_events_first(engine):
     order = []
     earlier = engine.event()
     earlier.callbacks.append(lambda _event: order.append("earlier"))
@@ -321,28 +292,31 @@ def test_run_until_succeeded_event_runs_earlier_events_first(fast):
     assert order == ["earlier"]
 
 
-def test_fast_and_legacy_dispatch_identical_order():
-    def build(fast):
-        engine = make_engine(fast)
-        log = []
+def test_immediate_events_interleave_with_timeouts_in_order(engine):
+    log = []
 
-        def proc(env, name, delay):
-            for _ in range(4):
-                yield env.timeout(delay)
-                log.append((env.now, name))
-                # Mix in immediate-lane events between timeouts.
-                done = env.event()
-                done.succeed()
-                yield done
-                log.append((env.now, name + "+imm"))
+    def proc(env, name, delay):
+        for _ in range(4):
+            yield env.timeout(delay)
+            log.append((env.now, name))
+            # Mix in events due now between timeouts.
+            done = env.event()
+            done.succeed()
+            yield done
+            log.append((env.now, name + "+imm"))
 
-        engine.process(proc(engine, "a", 1.0))
-        engine.process(proc(engine, "b", 1.5))
-        engine.process(proc(engine, "c", 1.0))
-        engine.run()
-        return log
-
-    assert build(True) == build(False)
+    engine.process(proc(engine, "a", 1.0))
+    engine.process(proc(engine, "b", 1.5))
+    engine.process(proc(engine, "c", 1.0))
+    engine.run()
+    assert log == [
+        (1.0, "a"), (1.0, "c"), (1.0, "a+imm"), (1.0, "c+imm"),
+        (1.5, "b"), (1.5, "b+imm"),
+        (2.0, "a"), (2.0, "c"), (2.0, "a+imm"), (2.0, "c+imm"),
+        (3.0, "b"), (3.0, "a"), (3.0, "c"),
+        (3.0, "b+imm"), (3.0, "a+imm"), (3.0, "c+imm"),
+        (4.0, "a"), (4.0, "c"), (4.0, "a+imm"), (4.0, "c+imm"),
+        (4.5, "b"), (4.5, "b+imm"), (6.0, "b"), (6.0, "b+imm")]
 
 
 class TestEvery:
@@ -399,13 +373,12 @@ class TestEvery:
         # horizon; absolute re-arm stays at one-multiplication rounding.
         assert worst < 1e-13
 
-    def test_periodics_interleave_deterministically(self):
-        def build(fast):
-            eng = make_engine(fast)
-            log = []
-            eng.every(2.0, lambda env: log.append((env.now, "a")))
-            eng.every(3.0, lambda env: log.append((env.now, "b")))
-            eng.run(until=12.0)
-            return log
-
-        assert build(True) == build(False)
+    def test_periodics_interleave_deterministically(self, engine):
+        log = []
+        engine.every(2.0, lambda env: log.append((env.now, "a")))
+        engine.every(3.0, lambda env: log.append((env.now, "b")))
+        engine.run(until=12.0)
+        # At a shared time the periodic re-armed first fires first.
+        assert log == [(2.0, "a"), (3.0, "b"), (4.0, "a"), (6.0, "b"),
+                       (6.0, "a"), (8.0, "a"), (9.0, "b"), (10.0, "a"),
+                       (12.0, "b"), (12.0, "a")]
