@@ -12,7 +12,9 @@ Subcommands::
 placed graph and partition and lints both; ``sanitize`` runs the named
 experiments through ``switchflow-experiments --sanitize``, so every
 run's trace is checked and ERROR findings fail the invocation. Bad
-input (a missing path or run log, an unknown model) exits 2.
+input (a missing path or run log, paths holding no ``.py`` file, an
+unknown model) exits 2. ``concurrency`` with no path lints the
+installed ``repro`` package, wherever it is run from.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ from repro.analysis.concurrency import (
     deadlock_from_runlog,
     lint_concurrency_paths,
 )
-from repro.analysis.determinism import lint_paths
+from repro.analysis.determinism import iter_python_files, lint_paths
 from repro.analysis.findings import Report, Severity, merge
 from repro.analysis.graph_lint import lint_graph, lint_partition
 from repro.models import FIGURE3_MODELS, get_model, model_names
 from repro.obs.runlog import RunLog, RunLogError
+
+#: The ``repro`` package directory: what ``concurrency`` lints by default.
+PACKAGE_DIR = Path(__file__).resolve().parents[1]
 
 
 def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
@@ -57,6 +62,15 @@ _positive_int = _checked(int, lambda number: number >= 1,
                          "expected a positive integer")
 
 
+def _no_python_files(paths: List[Any]) -> bool:
+    """True, after saying so on stderr, when ``paths`` hold no ``.py``."""
+    if iter_python_files(paths):
+        return False
+    print(f"no .py file under {', '.join(map(str, paths))}",
+          file=sys.stderr)
+    return True
+
+
 def _finish(report: Report, quiet: bool = False) -> int:
     min_severity = Severity.WARNING if quiet else Severity.INFO
     print(report.render(min_severity=min_severity))
@@ -64,6 +78,8 @@ def _finish(report: Report, quiet: bool = False) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    if _no_python_files(args.paths):
+        return 2
     report = lint_paths(args.paths)
     return _finish(report, quiet=args.quiet)
 
@@ -101,13 +117,18 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _cmd_concurrency(args: argparse.Namespace) -> int:
-    reports = [lint_concurrency_paths(args.paths)]
+    records = None
     if args.runlog:
         try:
             records = RunLog.read(args.runlog)
         except RunLogError as exc:
             print(exc, file=sys.stderr)
             return 2
+    paths = args.paths or [PACKAGE_DIR]
+    if _no_python_files(paths):
+        return 2
+    reports = [lint_concurrency_paths(paths)]
+    if records is not None:
         reports.append(deadlock_from_runlog(
             records, title=f"concurrency: {args.runlog}"))
     report = merge("concurrency analysis", reports)
@@ -149,9 +170,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "concurrency", help="concurrency lint (lock/rendezvous usage) "
                             "and post-hoc deadlock replay from a runlog")
     concurrency.add_argument("paths", nargs="*", type=_existing_path,
-                             default=["src/repro"],
                              help="files or directories to lint "
-                                  "(default: src/repro)")
+                                  "(default: the repro package)")
     concurrency.add_argument("--runlog", metavar="FILE",
                              help="JSONL run log to replay through the "
                                   "wait-for-graph deadlock detector")

@@ -14,7 +14,7 @@ from contextvars import ContextVar
 from typing import Callable, Iterator, List, Optional
 
 from repro.graph.cost_model import register_cost_cache_collector
-from repro.hw.machine import Machine
+from repro.hw.topology import Cluster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import RunLog
 from repro.runtime.rendezvous import Rendezvous
@@ -32,7 +32,7 @@ DEFAULT_TEMPORARY_WORKERS = 4
 class RunContext:
     """Everything a workload driver needs to execute jobs."""
 
-    def __init__(self, machine_factory: Callable[[Engine, Tracer], Machine],
+    def __init__(self, machine_factory: Callable[[Engine, Tracer], Cluster],
                  seed: int = 0,
                  temporary_workers: int = DEFAULT_TEMPORARY_WORKERS,
                  trace: bool = True) -> None:
@@ -205,7 +205,7 @@ def make_context(machine_builder, *args, seed: int = 0,
                  serving=None,
                  **kwargs) -> RunContext:
     """Convenience: ``make_context(v100_server, n_gpus=1, seed=1)``."""
-    def factory(engine: Engine, tracer: Tracer) -> Machine:
+    def factory(engine: Engine, tracer: Tracer) -> Cluster:
         return machine_builder(engine, *args, tracer=tracer, **kwargs)
     ctx = RunContext(factory, seed=seed, trace=trace,
                      temporary_workers=temporary_workers)

@@ -2,7 +2,7 @@
 
 One :class:`FaultInjector` is attached to a
 :class:`~repro.core.context.RunContext` (and mirrored on its machine so
-layers that only hold a ``Machine`` reach it too). The runtime calls
+layers that only hold the hardware reach it too). The runtime calls
 small hooks at its fault *sites*:
 
 * :meth:`kernel_fault` — the executor, before every GPU kernel launch.

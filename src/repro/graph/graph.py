@@ -161,14 +161,6 @@ class Graph:
     def total_flops(self) -> float:
         return sum(n.op.flops for n in self)
 
-    def total_params_bytes(self) -> int:
-        """Unique parameter bytes (shared ops counted once by op name)."""
-        seen: Dict[str, int] = {}
-        for node in self:
-            if node.op.params_bytes:
-                seen[node.op.name] = node.op.params_bytes
-        return sum(seen.values())
-
     def subgraph(self, nodes: Iterable[Node], name: str = None) -> "Graph":
         """Induced subgraph over ``nodes`` (edges inside the set only).
 

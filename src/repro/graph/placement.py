@@ -90,9 +90,9 @@ class GangPlacement:
 class GangScheduler:
     """Packs gangs onto cluster nodes, critical-path aware.
 
-    Works against the topology surface Machine and Cluster share
-    (``gpus``, ``node_name_of``, ``route_cost_ms``), so a single
-    machine is simply a cluster whose every placement co-locates.
+    Works against the cluster's topology surface (``gpus``,
+    ``node_name_of``, ``route_cost_ms``); a single host is a one-node
+    cluster, so every placement there co-locates.
 
     Rules, in order, for each member of a gang:
 
@@ -150,8 +150,6 @@ class GangScheduler:
             raise ValueError("cannot place a gang on a machine with "
                              "no GPUs")
         home = self._home_node(nodes)
-        # node_of returns the Node (Cluster) or the Machine itself
-        # (degenerate case); both expose the host CPU as ``.cpu``.
         home_cpu = self.machine.node_of(nodes[home][0].name).cpu
         placements: List[GangPlacement] = []
         for member in members:

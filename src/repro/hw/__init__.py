@@ -9,7 +9,6 @@ from repro.hw.cpu import CpuDevice
 from repro.hw.gpu import GpuDevice
 from repro.hw.kernels import KernelLaunch
 from repro.hw.machine import (
-    Machine,
     jetson_tx2,
     single_gpu_server,
     two_gpu_server,
@@ -58,7 +57,6 @@ __all__ = [
     "LINK_CATALOG",
     "Link",
     "LinkSpec",
-    "Machine",
     "MemoryPool",
     "NETWORK_100G",
     "NVLINK2",

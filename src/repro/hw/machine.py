@@ -1,19 +1,20 @@
-"""Machine topology: devices plus the links between them.
+"""Single-host testbeds: one-node :class:`~repro.hw.topology.Cluster`\\ s.
 
 Provides builders for the paper's three testbeds (Section 5.1):
 
 * ``two_gpu_server()``  — dual-Xeon host, GTX 1080 Ti + RTX 2080 Ti
 * ``v100_server(n)``    — dual-Xeon host, up to 4 Tesla V100s
 * ``jetson_tx2()``      — quad-core ARM + integrated Pascal GPU
+
+Each device is named by its spec, with ``#n`` for repeats (``Tesla
+V100``, ``Tesla V100 #1``, …), and every host↔GPU and GPU↔GPU link uses
+the builder's link spec (PCIe 3.0 x16, or the TX2's shared DRAM).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.hw.cpu import CpuDevice
-from repro.hw.gpu import GpuDevice
-from repro.hw.pcie import Link
 from repro.hw.specs import (
     GTX_1080_TI,
     JETSON_TX2_GPU,
@@ -27,151 +28,49 @@ from repro.hw.specs import (
     GpuSpec,
     LinkSpec,
 )
+from repro.hw.topology import Cluster
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
-Device = Union[CpuDevice, GpuDevice]
 
-
-class Machine:
-    """A host with one CPU device and zero or more GPUs, fully linked."""
-
-    def __init__(self, engine: "Engine", cpu_spec: CpuSpec,
-                 tracer: Optional[Tracer] = None,
-                 link_spec: LinkSpec = PCIE3_X16) -> None:
-        self.engine = engine
-        self.tracer = tracer if tracer is not None else Tracer(engine)
-        self.link_spec = link_spec
-        self.cpu = CpuDevice(engine, cpu_spec, tracer=self.tracer)
-        self.gpus: List[GpuDevice] = []
-        self._links: Dict[tuple, Link] = {}
-        # Name-keyed device index: device() sits on the migration and
-        # fault-scope hot paths, where a linear scan is measurable.
-        self._devices: Dict[str, Device] = {self.cpu.name: self.cpu}
-        self._routes: Dict[tuple, "Route"] = {}
-        # Fault injector, if one is attached to the owning RunContext.
-        # Mirrored here so layers that only hold a Machine (executor,
-        # resource manager) reach their hooks without new plumbing.
-        self.faults = None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_gpu(self, spec: GpuSpec, name: Optional[str] = None) -> GpuDevice:
-        """Attach a GPU and create links to the host and every other GPU."""
-        if name is None:
-            same = sum(1 for g in self.gpus if g.spec.name == spec.name)
-            name = spec.name if same == 0 else f"{spec.name} #{same}"
-        gpu = GpuDevice(self.engine, spec, tracer=self.tracer, name=name)
-        for endpoint in [self.cpu.name] + [g.name for g in self.gpus]:
-            self._add_link_pair(endpoint, gpu.name)
-        self.gpus.append(gpu)
-        self._devices[gpu.name] = gpu
-        return gpu
-
-    def _add_link_pair(self, a: str, b: str) -> None:
-        for src, dst in ((a, b), (b, a)):
-            self._links[(src, dst)] = Link(
-                self.engine, self.link_spec, src, dst, tracer=self.tracer)
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    @property
-    def devices(self) -> List[Device]:
-        return [self.cpu] + list(self.gpus)
-
-    def device(self, name: str) -> Device:
-        try:
-            return self._devices[name]
-        except KeyError:
-            raise KeyError(f"no device named {name!r}; have "
-                           f"{[d.name for d in self.devices]}") from None
-
-    def gpu(self, index: int = 0) -> GpuDevice:
-        return self.gpus[index]
-
-    def link(self, src: str, dst: str) -> Link:
-        try:
-            return self._links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link {src!r} -> {dst!r}") from None
-
-    # ------------------------------------------------------------------
-    # Topology surface (Machine as the degenerate one-node cluster)
-    # ------------------------------------------------------------------
-    # A Machine is node0 of a one-node cluster: every pair of devices is
-    # one hop apart, so routes wrap the direct link and transcripts are
-    # unchanged. Code above the hw layer uses only this surface, never
-    # the concrete Machine/Cluster type.
-    def node_of(self, device_name: str) -> "Machine":
-        self.device(device_name)   # raise the helpful KeyError if unknown
-        return self
-
-    def node_name_of(self, device_name: str) -> str:
-        self.device(device_name)
-        return "node0"
-
-    def same_node(self, a: str, b: str) -> bool:
-        self.device(a)
-        self.device(b)
-        return True
-
-    def host_cpu(self, device_name: str) -> CpuDevice:
-        self.device(device_name)
-        return self.cpu
-
-    def route(self, src: str, dst: str) -> "Route":
-        key = (src, dst)
-        cached = self._routes.get(key)
-        if cached is None:
-            from repro.hw.topology import Route
-
-            cached = Route(self.engine, [self.link(src, dst)])
-            self._routes[key] = cached
-        return cached
-
-    def route_cost_ms(self, src: str, dst: str, nbytes: int,
-                      n_tensors: int = 1) -> float:
-        return self.route(src, dst).cost_ms(nbytes, n_tensors)
-
-
-# ---------------------------------------------------------------------------
-# Testbed builders
-# ---------------------------------------------------------------------------
-def two_gpu_server(engine: "Engine",
-                   tracer: Optional[Tracer] = None) -> Machine:
-    """Server 1 of the paper: GTX 1080 Ti + RTX 2080 Ti, dual-Xeon host."""
-    machine = Machine(engine, XEON_DUAL_18C, tracer=tracer)
-    machine.add_gpu(GTX_1080_TI)
-    machine.add_gpu(RTX_2080_TI)
+def _single_host(engine: "Engine", cpu_spec: CpuSpec,
+                 gpu_specs: Sequence[GpuSpec], tracer: Optional[Tracer],
+                 link_spec: LinkSpec = PCIE3_X16) -> Cluster:
+    """One node whose devices carry their spec names, fully linked."""
+    machine = Cluster(engine, tracer=tracer)
+    node = machine.add_node(cpu_spec, pcie=link_spec, cpu_name=cpu_spec.name)
+    for spec in gpu_specs:
+        same = sum(1 for g in node.gpus if g.spec.name == spec.name)
+        node.add_gpu(spec, name=spec.name if same == 0
+                     else f"{spec.name} #{same}")
     return machine
+
+
+def two_gpu_server(engine: "Engine",
+                   tracer: Optional[Tracer] = None) -> Cluster:
+    """Server 1 of the paper: GTX 1080 Ti + RTX 2080 Ti, dual-Xeon host."""
+    return _single_host(engine, XEON_DUAL_18C, (GTX_1080_TI, RTX_2080_TI),
+                        tracer)
 
 
 def v100_server(engine: "Engine", n_gpus: int = 4,
-                tracer: Optional[Tracer] = None) -> Machine:
+                tracer: Optional[Tracer] = None) -> Cluster:
     """Server 2 of the paper: up to four 32 GB Tesla V100s."""
     if not 1 <= n_gpus <= 4:
         raise ValueError("the V100 server has between 1 and 4 GPUs")
-    machine = Machine(engine, XEON_DUAL_18C, tracer=tracer)
-    for _ in range(n_gpus):
-        machine.add_gpu(TESLA_V100)
-    return machine
+    return _single_host(engine, XEON_DUAL_18C, (TESLA_V100,) * n_gpus,
+                        tracer)
 
 
-def jetson_tx2(engine: "Engine", tracer: Optional[Tracer] = None) -> Machine:
+def jetson_tx2(engine: "Engine", tracer: Optional[Tracer] = None) -> Cluster:
     """The Jetson TX2 development kit: shared-DRAM embedded board."""
-    machine = Machine(engine, TX2_ARM_A57, tracer=tracer,
-                      link_spec=TX2_SHARED_MEM)
-    machine.add_gpu(JETSON_TX2_GPU)
-    return machine
+    return _single_host(engine, TX2_ARM_A57, (JETSON_TX2_GPU,), tracer,
+                        link_spec=TX2_SHARED_MEM)
 
 
 def single_gpu_server(engine: "Engine", gpu_spec: GpuSpec,
-                      tracer: Optional[Tracer] = None) -> Machine:
+                      tracer: Optional[Tracer] = None) -> Cluster:
     """A dual-Xeon host with one GPU of the given spec (Fig. 3 setups)."""
-    machine = Machine(engine, XEON_DUAL_18C, tracer=tracer)
-    machine.add_gpu(gpu_spec)
-    return machine
+    return _single_host(engine, XEON_DUAL_18C, (gpu_spec,), tracer)

@@ -1,28 +1,23 @@
-"""Cluster topology: multi-node machines joined by typed links.
+"""Hardware topology: nodes of devices joined by typed links.
 
-ROADMAP item 2 ("from one 4-GPU box to a sharded fleet") needs a
-hardware model where proximity matters: two GPUs behind one PCIe switch
-migrate state in hundreds of microseconds, while the same transfer
-across a datacenter network pays NIC latency and per-message framing on
-every tensor. This module provides:
+SwitchFlow keeps one executor version per device and moves a job's
+state between devices over the links that join them. This module is
+the one model of that hardware, for a single host and for a fleet:
 
-* :class:`Node` — one host (CPU + GPUs) with canonical device addresses
-  (``node0/cpu``, ``node0/gpu1``), NVLink between its GPUs and PCIe to
-  the host.
-* :class:`Cluster` — nodes joined CPU-to-CPU by a network link. It
-  implements the same protocol :class:`~repro.hw.machine.Machine` does
-  (``devices``, ``device()``, ``gpus``, ``cpu``, ``link()``), so every
-  layer above — sessions, policies, the resource manager — runs on
-  either without caring which.
+* :class:`Node` — one host (CPU + GPUs). The GPU-to-GPU links may be
+  NVLink; every GPU reaches the host over PCIe (or, on the Jetson TX2,
+  shared DRAM).
+* :class:`Cluster` — nodes joined CPU-to-CPU by a network link. It owns
+  the device, link and route lookups every layer above uses
+  (``devices``, ``device()``, ``gpus``, ``cpu``, ``link()``,
+  :meth:`~Cluster.route`, :meth:`~Cluster.same_node`,
+  :meth:`~Cluster.node_of`). A single-host server
+  (:mod:`repro.hw.machine`) is a one-node Cluster.
 * :class:`Route` — an ordered multi-hop path between two devices with
   per-hop serialization: a cross-node migration traverses src-PCIe →
-  network → dst-PCIe, queueing at each hop. A single-hop route degrades
-  to the underlying :class:`~repro.hw.pcie.Link` verbatim, which is what
-  keeps single-node transcripts bit-identical to the pre-topology code.
-
-``Machine`` itself grows ``route()`` / ``same_node()`` so it is the
-degenerate one-node cluster; nothing above the hw layer branches on the
-concrete type.
+  network → dst-PCIe, queueing at each hop. A single-hop route
+  delegates to the underlying :class:`~repro.hw.pcie.Link` verbatim, so
+  on one node a route's spans are the link's own.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ class Route:
     begins (store-and-forward through the staging host's DRAM), and each
     hop queues behind that link's other traffic. A one-hop route
     delegates to the underlying link directly — same process name, same
-    tracer spans — so single-machine schedules are unchanged by routing.
+    tracer spans — so single-node schedules are unchanged by routing.
     """
 
     __slots__ = ("engine", "links")
@@ -126,11 +121,16 @@ class Route:
 
 
 class Node:
-    """One host of a cluster: a CPU plus GPUs, canonically addressed."""
+    """One host of a cluster: a CPU plus GPUs.
+
+    Devices are addressed ``node<i>/cpu`` and ``node<i>/gpu<j>`` unless
+    the builder names them (the single-host testbeds use spec names).
+    """
 
     def __init__(self, cluster: "Cluster", index: int, cpu_spec: CpuSpec,
                  pcie: LinkSpec = PCIE3_X16,
-                 gpu_link: Optional[LinkSpec] = None) -> None:
+                 gpu_link: Optional[LinkSpec] = None,
+                 cpu_name: Optional[str] = None) -> None:
         self.cluster = cluster
         self.index = index
         self.name = f"node{index}"
@@ -140,13 +140,14 @@ class Node:
         self.gpu_link_spec = gpu_link if gpu_link is not None else pcie
         self.cpu = CpuDevice(cluster.engine, cpu_spec,
                              tracer=cluster.tracer,
-                             name=f"{self.name}/cpu")
+                             name=cpu_name if cpu_name is not None
+                             else f"{self.name}/cpu")
         self.gpus: List[GpuDevice] = []
         cluster._register(self.cpu, self)
 
     def add_gpu(self, spec: GpuSpec,
                 name: Optional[str] = None) -> GpuDevice:
-        """Attach a GPU: PCIe to the host, NVLink to node-local peers."""
+        """Attach a GPU: host link to the CPU, GPU link to its peers."""
         if name is None:
             name = f"{self.name}/gpu{len(self.gpus)}"
         gpu = GpuDevice(self.cluster.engine, spec,
@@ -160,19 +161,15 @@ class Node:
         self.cluster._register(gpu, self)
         return gpu
 
-    @property
-    def devices(self):
-        return [self.cpu] + list(self.gpus)
-
 
 class Cluster:
     """Nodes joined CPU-to-CPU by a network link.
 
-    Presents the Machine protocol, so every existing workload driver,
-    policy and experiment runs on a Cluster without modification; the
-    layers that *are* topology-aware (migration, gang placement) reach
-    the extra surface — :meth:`route`, :meth:`same_node`,
-    :meth:`node_of` — which Machine also implements degenerately.
+    Every workload driver, policy and experiment runs on a Cluster; a
+    single host is a one-node Cluster, where every route is one hop and
+    every placement co-locates. The topology-aware layers (migration,
+    gang placement) use :meth:`route`, :meth:`same_node` and
+    :meth:`node_of`.
     """
 
     def __init__(self, engine: "Engine", tracer: Optional[Tracer] = None,
@@ -185,7 +182,12 @@ class Cluster:
         self._devices: Dict[str, object] = {}
         self._node_by_device: Dict[str, Node] = {}
         self._routes: Dict[tuple, Route] = {}
-        # Fault injector mirror, as on Machine (see machine.py).
+        # The primary host CPU (node0's), where shared pools live; set
+        # when node 0 is added.
+        self.cpu: Optional[CpuDevice] = None
+        # Fault injector, if one is attached to the owning RunContext.
+        # Mirrored here so layers that only hold the hardware (executor,
+        # resource manager) reach its hooks without new plumbing.
         self.faults = None
 
     # ------------------------------------------------------------------
@@ -193,13 +195,19 @@ class Cluster:
     # ------------------------------------------------------------------
     def add_node(self, cpu_spec: CpuSpec = XEON_DUAL_18C,
                  pcie: LinkSpec = PCIE3_X16,
-                 gpu_link: Optional[LinkSpec] = None) -> Node:
-        """Add a host, networked to every existing node's CPU."""
+                 gpu_link: Optional[LinkSpec] = None,
+                 cpu_name: Optional[str] = None) -> Node:
+        """Add a host, networked to every existing node's CPU.
+
+        The CPU is named ``cpu_name``, or ``node<i>/cpu`` by default.
+        """
         node = Node(self, len(self.nodes), cpu_spec, pcie=pcie,
-                    gpu_link=gpu_link)
+                    gpu_link=gpu_link, cpu_name=cpu_name)
         for other in self.nodes:
             self._add_link_pair(other.cpu.name, node.cpu.name,
                                 self.network_spec)
+        if not self.nodes:
+            self.cpu = node.cpu
         self.nodes.append(node)
         return node
 
@@ -213,13 +221,8 @@ class Cluster:
         self._node_by_device[device.name] = node
 
     # ------------------------------------------------------------------
-    # Machine protocol
+    # Lookup
     # ------------------------------------------------------------------
-    @property
-    def cpu(self) -> CpuDevice:
-        """The primary host CPU (node0), where shared pools live."""
-        return self.nodes[0].cpu
-
     @property
     def gpus(self) -> List[GpuDevice]:
         return [gpu for node in self.nodes for gpu in node.gpus]
@@ -306,7 +309,7 @@ def v100_cluster(engine: "Engine", n_nodes: int = 2,
                  gpu_link: Optional[LinkSpec] = NVLINK2) -> Cluster:
     """``n_nodes`` dual-Xeon hosts with ``gpus_per_node`` V100s each.
 
-    The scale-out analogue of :func:`~repro.hw.machine.v100_server`:
+    The scale-out form of :func:`~repro.hw.machine.v100_server`:
     NVLink between a node's GPUs, PCIe to its host, 100GbE between
     nodes.
     """

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.sim.trace import Span, Tracer
+from repro.sim.trace import Tracer, union_length
 
 
 @dataclass(frozen=True)
@@ -33,24 +33,12 @@ class SessionBreakdown:
 def gpu_busy_in_window(tracer: Tracer, gpu_lane: str, start: float,
                        end: float, context: Optional[str] = None) -> float:
     """Unioned GPU-busy time within [start, end], optionally per job."""
-    intervals: List[Tuple[float, float]] = []
-    for span in tracer.spans:
-        if span.lane != gpu_lane:
-            continue
-        if context is not None and span.meta.get("context") != context:
-            continue
-        if span.end <= start or span.start >= end:
-            continue
-        intervals.append((max(span.start, start), min(span.end, end)))
-    intervals.sort()
-    busy = 0.0
-    cursor = start
-    for low, high in intervals:
-        if high <= cursor:
-            continue
-        busy += high - max(low, cursor)
-        cursor = max(cursor, high)
-    return busy
+    intervals = sorted(
+        (max(span.start, start), min(span.end, end))
+        for span in tracer.spans
+        if span.lane == gpu_lane and span.end > start and span.start < end
+        and (context is None or span.meta.get("context") == context))
+    return union_length(intervals, start)
 
 
 def session_breakdown(tracer: Tracer, gpu_lane: str, start: float,
@@ -89,8 +77,8 @@ def serialization_fraction(tracer: Tracer, gpu_lane: str,
         end = max(tracer.engine.now, latest)
     spans_a = _context_spans(tracer, gpu_lane, contexts[0], start, end)
     spans_b = _context_spans(tracer, gpu_lane, contexts[1], start, end)
-    busy_a = _union_length(spans_a)
-    busy_b = _union_length(spans_b)
+    busy_a = union_length(spans_a)
+    busy_b = union_length(spans_b)
     overlap = _pairwise_overlap(spans_a, spans_b)
     total = busy_a + busy_b - overlap
     if total <= 0:
@@ -105,19 +93,6 @@ def _context_spans(tracer: Tracer, lane: str, context: str, start: float,
         for span in tracer.spans
         if span.lane == lane and span.meta.get("context") == context
         and span.end > start and span.start < end)
-
-
-def _union_length(intervals: List[Tuple[float, float]]) -> float:
-    total = 0.0
-    cursor = None
-    for low, high in intervals:
-        if cursor is None or low > cursor:
-            total += high - low
-            cursor = high
-        elif high > cursor:
-            total += high - cursor
-            cursor = high
-    return total
 
 
 def _pairwise_overlap(a: List[Tuple[float, float]],

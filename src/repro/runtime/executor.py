@@ -32,7 +32,7 @@ from repro.runtime.rendezvous import Rendezvous
 from repro.runtime.threadpool import Task, ThreadPool, Worker
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.hw.machine import Machine
+    from repro.hw.topology import Cluster
 
 # Host-side bookkeeping per node (TF executor overhead: dependency
 # resolution, kernel argument setup, stream work submission).
@@ -101,7 +101,7 @@ class Executor:
     """A subgraph bound to one device, runnable many times."""
 
     def __init__(self, name: str, job: str, subgraph: Graph,
-                 device, machine: "Machine",
+                 device, machine: "Cluster",
                  rendezvous: Rendezvous, rng=None) -> None:
         self.name = name
         self.job = job

@@ -17,7 +17,7 @@ from repro.hw.memory import AllocationRecord
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.hw.machine import Machine
+    from repro.hw.topology import Cluster
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.runlog import RunLog
 
@@ -36,7 +36,7 @@ class JobState:
 class ResourceManager:
     """Tracks persistent variables for every job on a machine."""
 
-    def __init__(self, machine: "Machine",
+    def __init__(self, machine: "Cluster",
                  metrics: Optional["MetricsRegistry"] = None,
                  runlog: Optional["RunLog"] = None) -> None:
         self.machine = machine

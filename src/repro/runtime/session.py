@@ -30,7 +30,7 @@ from repro.runtime.resource_manager import ResourceManager
 from repro.runtime.threadpool import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.hw.machine import Machine
+    from repro.hw.topology import Cluster
 
 # Virtual placement tag for the compute subgraph; resolved to a physical
 # device when an executor version is selected.
@@ -42,7 +42,7 @@ _session_ids = itertools.count(1)
 class Session:
     """One model's runnable graph, with per-device executor versions."""
 
-    def __init__(self, machine: "Machine", model: ModelSpec, batch: int,
+    def __init__(self, machine: "Cluster", model: ModelSpec, batch: int,
                  training: bool, job: str, rendezvous: Rendezvous,
                  resources: ResourceManager, rng=None,
                  include_pipeline: bool = True,

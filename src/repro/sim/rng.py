@@ -115,10 +115,3 @@ class RngRegistry:
 
     def uniform(self, name: str, low: float, high: float) -> float:
         return self.stream(name).uniform(low, high)
-
-    def lognormal_around(self, name: str, center: float, sigma: float) -> float:
-        """Multiplicative jitter: draw centered at ``center`` with spread
-        ``sigma`` (in log space). Used for per-kernel execution noise."""
-        if center <= 0:
-            raise ValueError("lognormal center must be positive")
-        return center * self.stream(name).lognormvariate(0.0, sigma)

@@ -197,28 +197,6 @@ class Tracer:
     def by_lane(self, lane: str) -> List[Span]:
         return [span for span in self.spans if span.lane == lane]
 
-    def busy_time(self, lane: str, start: float = 0.0,
-                  end: Optional[float] = None) -> float:
-        """Total time ``lane`` had at least one active span in [start, end].
-
-        Overlapping spans are unioned, not double-counted.
-        """
-        if end is None:
-            end = self.engine.now
-        intervals = sorted(
-            (max(span.start, start), min(span.end, end))
-            for span in self.spans
-            if span.lane == lane and span.end > start and span.start < end
-        )
-        busy = 0.0
-        cursor = start
-        for lo, hi in intervals:
-            if hi <= cursor:
-                continue
-            busy += hi - max(lo, cursor)
-            cursor = max(cursor, hi)
-        return busy
-
     def busy_union(self, lanes: Iterable[str], start: float = 0.0,
                    end: Optional[float] = None) -> float:
         """Union busy time over several lanes in ``[start, end]``.
@@ -235,14 +213,7 @@ class Tracer:
             for span in self.spans
             if span.lane in wanted and span.end > start and span.start < end
         )
-        busy = 0.0
-        cursor = start
-        for lo, hi in intervals:
-            if hi <= cursor:
-                continue
-            busy += hi - max(lo, cursor)
-            cursor = max(cursor, hi)
-        return busy
+        return union_length(intervals, start)
 
     def open_span_rows(self) -> List[Dict[str, Any]]:
         """Plain-dict snapshot of in-progress spans (flight recorder)."""
@@ -256,26 +227,6 @@ class Tracer:
             for s in self._open
         ]
 
-    def concurrency_intervals(
-            self, lane: str) -> List[Tuple[float, float, int]]:
-        """Piecewise-constant count of simultaneously active spans."""
-        edges: List[Tuple[float, int]] = []
-        for span in self.by_lane(lane):
-            if span.duration <= 0:
-                continue
-            edges.append((span.start, 1))
-            edges.append((span.end, -1))
-        edges.sort()
-        result: List[Tuple[float, float, int]] = []
-        level = 0
-        previous = None
-        for time, delta in edges:
-            if previous is not None and time > previous and level > 0:
-                result.append((previous, time, level))
-            level += delta
-            previous = time
-        return result
-
     def to_rows(self) -> List[Dict[str, Any]]:
         """Flatten spans to plain dicts (for CSV/JSON export)."""
         return [
@@ -283,6 +234,20 @@ class Tracer:
              "end": s.end, **s.meta}
             for s in self.spans
         ]
+
+
+def union_length(intervals: Iterable[Tuple[float, float]],
+                 start: float = -math.inf) -> float:
+    """Length of the union of ``(lo, hi)`` intervals sorted by ``lo``,
+    counting only what lies after ``start``."""
+    busy = 0.0
+    cursor = start
+    for lo, hi in intervals:
+        if hi <= cursor:
+            continue
+        busy += hi - max(lo, cursor)
+        cursor = hi
+    return busy
 
 
 def render_ascii_timeline(spans: Iterable[Span], width: int = 100,

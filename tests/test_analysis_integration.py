@@ -1,9 +1,11 @@
 """Tests for the runner/CLI wiring of the analysis passes."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.integration import (
     SanitizationError,
@@ -127,7 +129,26 @@ class TestCli:
         assert "wallclock" in capsys.readouterr().out
 
     def test_lint_shipped_tree_is_clean(self, capsys):
-        assert analysis_main(["--quiet", "lint", "src/repro"]) == 0
+        package = str(Path(repro.__file__).parent)
+        assert analysis_main(["--quiet", "lint", package]) == 0
+
+    def test_concurrency_defaults_to_the_package_from_any_cwd(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert analysis_main(["concurrency"]) == 0
+        n_files = len(list(Path(repro.__file__).parent.rglob("*.py")))
+        assert n_files > 0
+        assert f"scanned {n_files} file(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["lint", "concurrency"])
+    def test_paths_without_python_files_exit_two(
+            self, monkeypatch, tmp_path, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "notes.txt").write_text("not python\n")
+        assert analysis_main([command, "."]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no .py file under ." in captured.err
 
     def test_graphs_subcommand_lints_a_model(self, capsys):
         assert analysis_main(["graphs", "MobileNetV2", "--batch", "8"]) == 0

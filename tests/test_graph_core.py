@@ -116,13 +116,6 @@ class TestGraph:
         with pytest.raises(KeyError):
             graph.find("missing")
 
-    def test_total_params_counts_shared_ops_once(self):
-        graph = Graph("g")
-        shared = op("w", OpKind.CONV2D, params_bytes=100)
-        graph.add_node(shared)
-        graph.add_node(shared)
-        assert graph.total_params_bytes() == 100
-
     def test_subgraph_shares_nodes_but_not_edges(self):
         graph = Graph("g")
         a = graph.add_node(op("a"))

@@ -1,10 +1,12 @@
-"""Tests for interconnect links, CPU device, and machine topology."""
+"""Tests for interconnect links, CPU device, and the single-host
+testbeds (one-node clusters)."""
 
 import pytest
 
 from repro.hw import (
     CpuDevice,
     GTX_1080_TI,
+    NVLINK2,
     PCIE3_X16,
     RTX_2080_TI,
     XEON_DUAL_18C,
@@ -117,6 +119,8 @@ class TestMachine:
         machine = two_gpu_server(engine)
         assert [g.spec.name for g in machine.gpus] == \
             [GTX_1080_TI.name, RTX_2080_TI.name]
+        assert [d.name for d in machine.devices] == \
+            ["Xeon 2x18c", "GTX 1080 Ti", "RTX 2080 Ti"]
         # Links exist host<->gpu and gpu<->gpu, both directions.
         for a in [machine.cpu.name] + [g.name for g in machine.gpus]:
             for b in [machine.cpu.name] + [g.name for g in machine.gpus]:
@@ -126,8 +130,9 @@ class TestMachine:
     def test_duplicate_gpu_names_are_disambiguated(self):
         engine = Engine()
         machine = v100_server(engine, 3)
-        names = [g.name for g in machine.gpus]
-        assert len(set(names)) == 3
+        assert machine.cpu.name == "Xeon 2x18c"
+        assert [g.name for g in machine.gpus] == \
+            ["Tesla V100", "Tesla V100 #1", "Tesla V100 #2"]
 
     def test_device_lookup_errors(self):
         engine = Engine()
@@ -153,3 +158,30 @@ class TestMachine:
         machine = v100_server(engine, 2, tracer=tracer)
         assert machine.cpu.tracer is tracer
         assert all(gpu.tracer is tracer for gpu in machine.gpus)
+
+    @pytest.mark.parametrize("build", [
+        two_gpu_server,
+        lambda engine: v100_server(engine, 4),
+        jetson_tx2,
+        lambda engine: single_gpu_server(engine, RTX_2080_TI),
+    ], ids=["two-gpu", "v100x4", "jetson", "single-gpu"])
+    def test_single_host_is_a_one_node_cluster(self, build):
+        machine = build(Engine())
+        assert len(machine.nodes) == 1
+        node = machine.nodes[0]
+        assert machine.cpu is node.cpu
+        for device in machine.devices:
+            assert machine.node_of(device.name) is node
+            assert machine.host_cpu(device.name) is machine.cpu
+            assert machine.node_name_of(device.name) == "node0"
+
+    def test_single_host_gpu_links_are_pcie_never_nvlink(self):
+        for machine in (two_gpu_server(Engine()), v100_server(Engine(), 4)):
+            gpus = [g.name for g in machine.gpus]
+            for a in gpus:
+                assert machine.link(machine.cpu.name, a).spec is PCIE3_X16
+                for b in gpus:
+                    if a != b:
+                        link = machine.link(a, b)
+                        assert link.spec is PCIE3_X16
+                        assert link.spec is not NVLINK2

@@ -1,9 +1,9 @@
 """Cluster topology tests: typed links, routes, gang placement, and the
 cross-node sanitizer invariants.
 
-The load-bearing property throughout: a Machine is the degenerate
-one-node cluster, so everything that holds for a Cluster route holds
-for the single link it wraps — and single-node behavior is unchanged.
+The load-bearing property throughout: a single-host server is a
+one-node Cluster, so every route on it is the single link it wraps and
+every gang placement there co-locates.
 """
 
 import pytest
@@ -165,7 +165,7 @@ class TestRoute:
 
 
 # ---------------------------------------------------------------------------
-# Cluster addressing and the degenerate Machine surface
+# Cluster addressing, and the single host as a one-node cluster
 # ---------------------------------------------------------------------------
 class TestClusterAddressing:
     def test_canonical_device_names(self):
@@ -210,7 +210,7 @@ class TestClusterAddressing:
         gpu0, gpu1 = (g.name for g in machine.gpus)
         assert machine.same_node(gpu0, gpu1)
         assert machine.node_name_of(gpu0) == "node0"
-        assert machine.node_of(gpu0) is machine
+        assert machine.node_of(gpu0) is machine.nodes[0]
         assert machine.host_cpu(gpu0) is machine.cpu
         route = machine.route(gpu0, gpu1)
         assert route.hops == 1

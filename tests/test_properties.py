@@ -90,7 +90,7 @@ def test_busy_time_bounded_by_span_sum_and_window(intervals):
     tracer = Tracer(engine)
     for start, end in intervals:
         tracer.record(Span("lane", "x", start, end))
-    busy = tracer.busy_time("lane", 0.0, 1100.0)
+    busy = tracer.busy_union(["lane"], 0.0, 1100.0)
     total = sum(end - start for start, end in intervals)
     assert 0.0 <= busy <= total + 1e-6
     assert busy <= 1100.0
