@@ -36,6 +36,7 @@ from repro.graph.partition import partition_graph
 from repro.graph.placement import GangMember, GangScheduler, place_graph
 from repro.hw.topology import v100_cluster
 from repro.models import get_model
+from repro.sim.arith import left_sum
 from repro.workloads import JobSpec, run_colocation
 
 #: Same survival rule as the fault sweep: a request lives if it lands
@@ -109,7 +110,7 @@ def _route_class_latencies(ctx) -> Dict[str, List[float]]:
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
-    return sum(values) / len(values) if values else None
+    return left_sum(values) / len(values) if values else None
 
 
 def _run_cell(cell) -> Dict[str, object]:
@@ -158,7 +159,7 @@ def _run_cell(cell) -> Dict[str, object]:
         scored += max(1, requests - WARMUP)
         survived += sum(1 for latency in samples[:requests - WARMUP]
                         if latency <= slo_ms)
-    aggregate = sum(
+    aggregate = left_sum(
         job.stats.throughput_items_per_s(warmup=WARMUP)
         for job in trainers + streams
         if len(job.stats.iteration_times_ms) > WARMUP)

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.hw.memory import MemoryPool
 from repro.hw.specs import CpuSpec
+from repro.sim.events import Timeout
 from repro.sim.resources import Semaphore
 from repro.sim.trace import Tracer
 
@@ -79,7 +80,7 @@ class CpuDevice:
         if self.tracer is not None:
             span = self.tracer.begin(self.lane, label, context=context)
         try:
-            yield self.engine.timeout(cost_ms)
+            yield Timeout(self.engine, cost_ms)
         finally:
             if span is not None:
                 span.close()

@@ -15,8 +15,9 @@ everyone (the Figure 2 observation: ~2x slowdown per model when two
 ResNet50s share a V100).
 
 The engine is fully event-driven: progress is integrated lazily on every
-admission/completion, and a versioned timer wakes the device at the next
-completion time.
+admission/completion, and a timer wakes the device at the next
+completion time. Only the most recently armed timer counts: the device
+keeps it in ``_timer`` and ignores any other that fires.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 from repro.hw.kernels import KernelLaunch
 from repro.hw.memory import MemoryPool
 from repro.hw.specs import GpuSpec
-from repro.sim.events import Event
+from repro.sim.arith import left_sum
+from repro.sim.events import Event, Timeout
 from repro.sim.trace import OpenSpan, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,7 +81,9 @@ class GpuDevice:
         self._streams: Dict[Tuple[str, int], _StreamState] = {}
         self._running: List[_ResidentKernel] = []
         self._last_update = engine.now
-        self._timer_version = 0
+        # The one live completion timer; a superseded one still fires
+        # and is ignored by identity.
+        self._timer: Optional[Timeout] = None
         self._last_context: Optional[str] = None
         self.kernels_completed = 0
         self.context_switches = 0
@@ -97,7 +101,7 @@ class GpuDevice:
         finishes. A queued-but-unadmitted kernel can be revoked with
         :meth:`cancel_queued`.
         """
-        done = self.engine.event()
+        done = Event(self.engine)
         key = (kernel.context, kernel.stream)
         state = self._streams.get(key)
         if state is None:
@@ -180,7 +184,7 @@ class GpuDevice:
 
     @property
     def total_occupancy(self) -> float:
-        return sum(r.kernel.occupancy for r in self._running)
+        return left_sum(r.kernel.occupancy for r in self._running)
 
     # ------------------------------------------------------------------
     # Engine internals
@@ -244,9 +248,8 @@ class GpuDevice:
             if len(heads) > 1:
                 heads.sort(key=itemgetter(0))
             running = self._running
-            # Re-summed after each admission rather than kept as a
-            # running total: built-in sum() is compensated on 3.12+,
-            # so running adds would not be bit-equal to it.
+            # A running total is bit-equal to re-summing: both are the
+            # same left fold over the resident kernels.
             total = self.total_occupancy
             for _launch_id, key, state in heads:
                 kernel, done = state.queue[0]
@@ -269,27 +272,26 @@ class GpuDevice:
                     self.context_switches += 1
                 self._last_context = kernel.context
                 running.append(resident)
-                total = self.total_occupancy
+                total += kernel.occupancy
         self._recompute_rates()
         self._arm_timer()
 
     def _arm_timer(self) -> None:
-        self._timer_version += 1
         running = self._running
         if not running:
+            self._timer = None
             return
-        version = self._timer_version
         if len(running) == 1:
             resident = running[0]
             horizon = max(resident.remaining_ms, 0.0) / resident.rate
         else:
             horizon = min(
                 max(r.remaining_ms, 0.0) / r.rate for r in running)
-        timer = self.engine.timeout(horizon)
-        timer.callbacks.append(lambda _event: self._on_timer(version))
+        timer = self._timer = Timeout(self.engine, horizon)
+        timer.callbacks.append(self._on_timer)
 
-    def _on_timer(self, version: int) -> None:
-        if version != self._timer_version:
+    def _on_timer(self, event: Timeout) -> None:
+        if event is not self._timer:
             return  # superseded by a later admission/completion
         self._sync_progress()
         finished: List[_ResidentKernel] = []

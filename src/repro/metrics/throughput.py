@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.sim.arith import left_sum
+
 
 @dataclass
 class JobStats:
@@ -37,7 +39,7 @@ class JobStats:
         samples = self.iteration_times_ms[warmup:]
         if not samples:
             return 0.0
-        total_ms = sum(samples)
+        total_ms = left_sum(samples)
         if total_ms <= 0:
             return 0.0
         return len(samples) * self.batch / (total_ms / 1000.0)
@@ -50,7 +52,7 @@ class JobStats:
         """
         durations = [end - start for start, end in self.iteration_spans
                      if start >= t_ms]
-        total_ms = sum(durations)
+        total_ms = left_sum(durations)
         if total_ms <= 0:
             return 0.0
         return len(durations) * self.batch / (total_ms / 1000.0)
@@ -59,7 +61,7 @@ class JobStats:
         samples = self.iteration_times_ms[warmup:]
         if not samples:
             return 0.0
-        return sum(samples) / len(samples)
+        return left_sum(samples) / len(samples)
 
     def __str__(self) -> str:
         status = "CRASHED" if self.crashed else f"{self.iterations} iters"

@@ -83,10 +83,13 @@ class Gauge(_Instrument):
         self.value = 0.0
         self.max_value = 0.0
         self._integral = 0.0
-        self._last_update = self._now()
+        # The registry's clock itself: set() runs once per queue-depth
+        # change, so it reads the time with one call.
+        self._clock = family.registry._clock
+        self._last_update = self._clock()
 
     def set(self, value: float) -> None:
-        now = self._now()
+        now = self._clock()
         self._integral += self.value * (now - self._last_update)
         self._last_update = now
         self.value = float(value)

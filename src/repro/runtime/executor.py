@@ -257,7 +257,7 @@ class Executor:
                    node: Node) -> Task:
         task = Task(
             name=self._task_names[node.node_id], job=self.job,
-            body=lambda worker: self._node_body(run, pool, node, worker))
+            body=partial(self._node_body, run, pool, node))
         task.run_ref = run
         return task
 

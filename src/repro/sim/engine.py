@@ -9,8 +9,12 @@ structure produce identical schedules.
 
 The agenda is one binary heap of ``(time, priority, sequence, event)``
 tuples; the sequence number is unique, so the event itself is never
-compared. Processes park in the event's ``_waiter`` slot instead of
-allocating a bound-method callback per step — see DESIGN.md §9.
+compared. ``Event.succeed`` and ``Timeout`` push their tuples
+directly; :meth:`Engine.schedule` is the checked entry point for every
+other push. :meth:`Engine._loop` is the one delivery body, for
+:meth:`Engine.run` and :meth:`Engine.step` alike. Processes park in the
+event's ``_waiter`` slot instead of allocating a bound-method callback
+per step — see DESIGN.md §9.
 """
 
 from __future__ import annotations
@@ -20,10 +24,16 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.sim import instrument as _instrument
 from repro.sim.errors import SimulationError, StopSimulation, UnhandledEventFailure
-from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import (
+    NORMAL,
+    URGENT,
+    AllOf,
+    AnyOf,
+    Event,
+    Infinity,
+    Timeout,
+)
 from repro.sim.process import Process, ProcessGenerator
-
-Infinity = float("inf")
 
 
 class PeriodicHandle:
@@ -177,36 +187,9 @@ class Engine:
 
     def step(self) -> None:
         """Process the single next event on the agenda."""
-        event = self._pop(Infinity)
-        if event is None:
+        if not self._heap:
             raise SimulationError("attempt to step an empty agenda")
-        self._dispatch(event)
-
-    def _pop(self, horizon: float) -> Optional[Event]:
-        """Remove and return the next event, advancing the clock to its
-        time, or return None if no event is due at or before
-        ``horizon``."""
-        heap = self._heap
-        if not heap or heap[0][0] > horizon:
-            return None
-        when, _priority, _sequence, event = heapq.heappop(heap)
-        self._now = when
-        return event
-
-    def _dispatch(self, event: Event) -> None:
-        """Deliver one event: waiter slot first, then listed callbacks."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise UnhandledEventFailure(
-                f"event failed and nobody handled it: {event._value!r}"
-            ) from event._value
+        self._loop(Infinity, 1)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -251,17 +234,34 @@ class Engine:
             self._now = horizon
         return None
 
-    def _loop(self, horizon: float) -> None:
+    def _loop(self, horizon: float, budget: int = -1) -> None:
         """Deliver events in order until none is due at or before
-        ``horizon``. The agenda lives in the engine's fields between
-        two events, so a :class:`StopSimulation`, an unhandled failure
-        or a horizon return leaves the engine resumable."""
-        pop = self._pop
-        dispatch = self._dispatch
-        event = pop(horizon)
-        while event is not None:
-            dispatch(event)
-            event = pop(horizon)
+        ``horizon``, or ``budget`` events have been delivered (a
+        negative budget never runs out).
+
+        Delivery is inline: pop the head, move the clock to its time,
+        resume the parked waiter, then call the listed callbacks. The
+        agenda lives in the engine's fields between two events, so a
+        :class:`StopSimulation`, an unhandled failure or a horizon
+        return leaves the engine resumable."""
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap and heap[0][0] <= horizon and budget:
+            budget -= 1
+            when, _priority, _sequence, event = heappop(heap)
+            self._now = when
+            callbacks = event.callbacks
+            event.callbacks = None
+            waiter = event._waiter
+            if waiter is not None:
+                event._waiter = None
+                waiter._resume(event)
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                raise UnhandledEventFailure(
+                    f"event failed and nobody handled it: {event._value!r}"
+                ) from event._value
 
     @staticmethod
     def _stop_on(event: Event) -> None:

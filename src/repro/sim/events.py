@@ -9,6 +9,7 @@ events and are resumed through those callbacks.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.sim.errors import EventCancelled, SimulationError
@@ -24,6 +25,9 @@ PENDING = object()
 URGENT = 0
 NORMAL = 1
 
+Infinity = float("inf")
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -33,11 +37,11 @@ class Event:
 
     ``_waiter`` is the direct-resume slot: when exactly one process
     waits on an event (the overwhelmingly common case), it parks itself
-    here instead of appending a bound-method callback, and
-    ``Engine._dispatch`` resumes it before walking the callback list. The waiter is
-    always delivered *before* listed callbacks — the order a plain
-    callback list would give, since the slot is only used while the
-    list is empty.
+    here instead of appending a bound-method callback, and the engine's
+    delivery loop (``Engine._loop``) resumes it before walking the
+    callback list. The waiter is always delivered *before* listed
+    callbacks — the order a plain callback list would give, since the
+    slot is only used while the list is empty.
     """
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_defused",
@@ -91,7 +95,11 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.engine.schedule(self)
+        # Engine.schedule(self) without its checks: a delay of zero at
+        # NORMAL priority is always valid, and this is the hottest push.
+        engine = self.engine
+        engine._sequence += 1
+        heappush(engine._heap, (engine._now, NORMAL, engine._sequence, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -140,18 +148,31 @@ class Timeout(Event):
     """An event that fires automatically after ``delay`` time units.
 
     It is triggered from birth: construction schedules it on the engine,
-    and :meth:`Engine.timeout` is the usual way to make one.
+    and :meth:`Engine.timeout` is the usual way to make one. A negative,
+    NaN or infinite delay raises :class:`ValueError` before anything
+    reaches the agenda.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(engine)
-        self.delay = delay
+        now = engine._now
+        when = now + delay
+        if not (delay >= 0 and when < Infinity):
+            raise ValueError(
+                f"cannot schedule a timeout at {when} (now={now}, "
+                f"delay={delay})")
+        # Event.__init__ and Engine.schedule, inlined: timeouts are made
+        # once per simulated op and kernel timer.
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self._waiter = None
+        self.delay = delay
+        engine._sequence += 1
+        heappush(engine._heap, (when, NORMAL, engine._sequence, self))
 
 
 class AnyOf(Event):

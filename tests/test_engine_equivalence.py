@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.sim import Engine
-from repro.sim.errors import Interrupted
+from repro.sim.errors import Interrupted, SimulationError
 from tests.golden import engine_transcripts as golden
 
 try:
@@ -26,7 +26,7 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
 # ---------------------------------------------------------------------------
 # Process programs straight on the engine
 # ---------------------------------------------------------------------------
-def run_program(program, horizons=()):
+def run_program(program, horizons=(), drain=None):
     """Execute a little process zoo; return the observable transcript.
 
     ``program`` is a list of per-process instruction lists; each
@@ -43,7 +43,9 @@ def run_program(program, horizons=()):
 
     The run goes in ``run(until=h)`` chunks, one per horizon, which
     snap the clock to each horizon between chunks, before it runs to
-    quiescence. Each chunk logs ``("horizon", h, now, peek())``.
+    quiescence. Each chunk logs ``("horizon", h, now, peek())``. A
+    ``drain(engine)`` callable, if given, replaces the quiescence run
+    and must empty the agenda.
     """
     engine = Engine()
     n_events = len(program)
@@ -87,7 +89,11 @@ def run_program(program, horizons=()):
         if horizon >= engine.now:
             engine.run(until=horizon)
             log.append(("horizon", horizon, engine.now, engine.peek()))
-    engine.run(until=done)
+    if drain is None:
+        engine.run(until=done)
+    else:
+        drain(engine)
+        assert engine.peek() == float("inf") and done.processed
     return log, engine.now
 
 
@@ -122,6 +128,29 @@ def test_random_programs_keep_the_agenda_contract(program, horizons):
         # Waits on another process's event make no timeout at all.
         assert rejected == (bad_delay and not (signal is not None
                                                and signal < 0))
+
+
+def step_until_empty(engine):
+    """Drain the agenda one ``step()`` at a time; a further step on the
+    empty agenda must raise and leave the clock where it is."""
+    while engine.peek() != float("inf"):
+        engine.step()
+    now = engine.now
+    with pytest.raises(SimulationError, match="empty agenda"):
+        engine.step()
+    assert engine.now == now
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(instruction, max_size=6), min_size=1,
+                max_size=5),
+       st.lists(st.floats(min_value=0.0, max_value=120.0), max_size=3))
+def test_stepping_delivers_what_run_delivers(program, horizons):
+    # step() and run() share one delivery loop; stepping to an empty
+    # agenda must give run()'s transcript event for event.
+    assert (run_program(program, horizons, drain=step_until_empty)
+            == run_program(program, horizons, drain=Engine.run))
 
 
 def test_fixed_program_equivalence():

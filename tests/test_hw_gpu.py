@@ -162,3 +162,30 @@ class TestValidation:
             KernelLaunch(name="k", context="a", work_ms=1.0, occupancy=0.0)
         with pytest.raises(ValueError):
             KernelLaunch(name="k", context="a", work_ms=1.0, occupancy=1.5)
+
+
+class TestCompletionTimer:
+    def test_superseded_timer_fires_without_effect(self, gpu_setup):
+        # A launch behind a busy stream re-arms the completion timer;
+        # the first timer still fires, and must neither complete a
+        # kernel nor move the busy-time account.
+        engine, gpu, _ = gpu_setup
+        first = KernelLaunch(name="a", context="a", work_ms=10.0,
+                             occupancy=1.0)
+        second = KernelLaunch(name="b", context="a", work_ms=5.0,
+                              occupancy=1.0)
+        first_done = gpu.launch(first)
+        stale = gpu._timer
+        engine.run(until=2.0)
+        gpu.launch(second)
+        assert gpu._timer is not stale
+        busy = gpu.busy_ms_total
+        engine.run(until=stale)
+        assert stale.processed and engine.now == pytest.approx(10.0)
+        assert gpu.kernels_completed == 0
+        assert not first_done.triggered
+        assert gpu.busy_ms_total == busy == 2.0
+        engine.run()
+        assert gpu.kernels_completed == 2
+        assert (first.finished_at, second.finished_at) == \
+            pytest.approx((10.0, 15.0))

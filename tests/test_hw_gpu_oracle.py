@@ -89,17 +89,16 @@ class ReferenceGpuDevice(GpuDevice):
         self._arm_timer()
 
     def _arm_timer(self) -> None:
-        self._timer_version += 1
         if not self._running:
+            self._timer = None
             return
-        version = self._timer_version
         horizon = min(
             max(r.remaining_ms, 0.0) / r.rate for r in self._running)
-        timer = self.engine.timeout(horizon)
-        timer.callbacks.append(lambda _event: self._on_timer(version))
+        self._timer = self.engine.timeout(horizon)
+        self._timer.callbacks.append(self._on_timer)
 
-    def _on_timer(self, version: int) -> None:
-        if version != self._timer_version:
+    def _on_timer(self, event) -> None:
+        if event is not self._timer:
             return
         self._sync_progress()
         finished = [r for r in self._running
